@@ -1,24 +1,19 @@
 """Descent-weighted chromatic polynomials of Dyck graphs, computed two
 independent ways: brute-force over bounded proper colorings, and as a
-permutation sum of slide polynomials.  Also the fundamental expansion of
-the nonpositive-variable specialization.
+permutation sum of slide polynomials, evaluated by a dynamic program
+over subsets.  Also the fundamental expansion of the nonpositive-variable
+specialization.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .compositions import WeakComposition, Window, comp_of_subset, transpose
+from .compositions import WeakComposition, Window
 from .dyck import PartialDyckPath, dyck_graph, restriction_map
-from .posets import (
-    descent_composition,
-    graph_inversions,
-    incomparability_poset,
-    poset_descents,
-)
+from .posets import incomparability_poset
 from .slides import fundamental_qsym, slide_polynomial
-from .tpoly import TCoeff, TPolynomial, t_add, t_monomial
+from .tpoly import TCoeff, TPolynomial, t_add
 
 
 def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
@@ -62,21 +57,80 @@ def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
     return TPolynomial(w, terms)
 
 
+def slide_expansion(path: PartialDyckPath) -> dict[WeakComposition, TCoeff]:
+    """Slide expansion of the chromatic polynomial: each slide index
+    mapped to the sum of t^(graph inversions of pi) over the permutations
+    pi whose descent composition it is.
+
+    A dynamic program over subsets (the transfer-matrix method) stands in
+    for the loop over all n! permutations.  pi is built backwards from
+    its last letter.  A state is (placed vertices as a bitmask, the front
+    vertex, its tightened bound, the size of the block still open at the
+    front, the closed blocks behind it as (index, size) pairs) and holds
+    the t-coefficient summed over the suffixes that reach it.  Prepending
+    u to front v: if v < u in the poset the open block grows and the
+    bound becomes min(bound, rho(u)); otherwise the open block closes at
+    v's bound and the new bound is min(bound - 1, rho(u)).  Each placed
+    neighbour with a smaller label than u adds one inversion.  States
+    with equal keys merge their t-coefficients.  The permutation route
+    (descent_composition, graph_inversions) stays in posets as the oracle
+    the tests compare against.
+    """
+    graph = dyck_graph(path)
+    rho = restriction_map(path)
+    n = graph.n
+    if n == 0:
+        return {WeakComposition(): {0: 1}}
+    below = [0] * n  # below[u]: bitmask of the vertices under u in the poset
+    lower_nbrs = [0] * n  # lower_nbrs[u]: bitmask of u's smaller neighbours
+    for a, b in incomparability_poset(graph).less:
+        below[b - 1] |= 1 << (a - 1)
+    for i, j in graph.edges:
+        lower_nbrs[j - 1] |= 1 << (i - 1)
+    # vertex v + 1 is bit v; closed blocks run left to right
+    layer = {(1 << u, u, rho[u], 1, ()): {0: 1} for u in range(n)}
+    for _ in range(n - 1):
+        nxt: dict[tuple, TCoeff] = {}
+        for (mask, v, bound, size, closed), tc in layer.items():
+            for u in range(n):
+                bit = 1 << u
+                if mask & bit:
+                    continue
+                if below[u] >> v & 1:
+                    key = (mask | bit, u, min(bound, rho[u]), size + 1, closed)
+                else:
+                    closed_now = _close_block(bound, size, closed)
+                    key = (mask | bit, u, min(bound - 1, rho[u]), 1, closed_now)
+                d = (mask & lower_nbrs[u]).bit_count()
+                cur = nxt.get(key)
+                if cur is None:
+                    nxt[key] = {k + d: c for k, c in tc.items()}
+                else:
+                    for k, c in tc.items():
+                        cur[k + d] = cur.get(k + d, 0) + c
+        layer = nxt
+    expansion: dict[WeakComposition, TCoeff] = {}
+    for (_, _, bound, size, closed), tc in layer.items():
+        rd = WeakComposition.from_items(_close_block(bound, size, closed))
+        expansion[rd] = t_add(expansion.get(rd, {}), tc)
+    return expansion
+
+
+def _close_block(index: int, size: int, closed: tuple) -> tuple:
+    if closed and index >= closed[0][0]:
+        indices = [index] + [i for i, _ in closed]
+        raise RuntimeError(f"block indices {indices} not strictly increasing")
+    return ((index, size),) + closed
+
+
 def chromatic_via_slides(
     path: PartialDyckPath, w: Window
 ) -> tuple[TPolynomial, dict[WeakComposition, TCoeff]]:
     """Permutation sum: t^(graph inversions of pi) times the slide
-    polynomial of pi's descent composition.  Returns the polynomial and
-    the accumulated slide expansion.
+    polynomial of pi's descent composition.  Returns the polynomial on w
+    and the slide expansion it was assembled from.
     """
-    graph = dyck_graph(path)
-    rho = restriction_map(path)
-    poset = incomparability_poset(graph)
-    expansion: dict[WeakComposition, TCoeff] = {}
-    for pi in itertools.permutations(range(1, graph.n + 1)):
-        inv = graph_inversions(graph, pi)
-        rd = descent_composition(pi, rho, poset)
-        expansion[rd] = t_add(expansion.get(rd, {}), t_monomial(inv))
+    expansion = slide_expansion(path)
     poly = TPolynomial.zero(w)
     for rd in sorted(expansion, key=lambda e: (e.lo, e.entries)):
         poly = poly + slide_polynomial(rd, w).scaled(expansion[rd])
@@ -128,18 +182,17 @@ def fundamental_expansion(
     path: PartialDyckPath,
 ) -> dict[tuple[int, ...], TCoeff]:
     """Expansion of the all-nonpositive-color generating function into
-    fundamental quasisymmetric polynomials.
+    fundamental quasisymmetric polynomials: the backstable limit of the
+    slide expansion.
 
-    Each permutation contributes t^inv to the transpose of the
-    composition recording its poset descents.
+    Descent-composition blocks are the runs between poset ascents, so
+    flatten(rdes(pi)) = transpose(comp_of_subset(Des(pi))) and each
+    permutation contributes t^inv to the flattened slide index.
     """
-    graph = dyck_graph(path)
-    poset = incomparability_poset(graph)
     out: dict[tuple[int, ...], TCoeff] = {}
-    for pi in itertools.permutations(range(1, graph.n + 1)):
-        inv = graph_inversions(graph, pi)
-        alpha = transpose(comp_of_subset(poset_descents(poset, pi), graph.n))
-        out[alpha] = t_add(out.get(alpha, {}), t_monomial(inv))
+    for a, tc in slide_expansion(path).items():
+        alpha = a.flatten()
+        out[alpha] = t_add(out.get(alpha, {}), tc)
     return out
 
 

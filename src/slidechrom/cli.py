@@ -223,6 +223,8 @@ def cmd_backstable(args) -> CommandResult:
 
 def cmd_qsym(args) -> CommandResult:
     path = _parse_path(args.path)
+    if args.m is not None and args.m < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
     exp = fundamental_expansion(path)
     order = sorted(exp)
     payload: dict = {
@@ -319,6 +321,8 @@ def cmd_sweep(args) -> CommandResult:
             {"error": f"refusing n={args.n} > 6 without --force"},
             [f"refusing n={args.n} > 6 without --force"],
         )
+    if args.threads is not None and args.threads < 0:
+        raise ValueError(f"--threads must be >= 0, got {args.threads}")
     mode = args.mode
     m = args.m if args.m is not None else (2 if mode == "backstable" else args.n)
     tasks = []
@@ -422,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker count (default: cores)")
+    p.add_argument("--threads", type=int, default=None, help="worker count (default or 0: cores)")
     p.add_argument("--force", action="store_true", help="allow n > 6")
     p.set_defaults(func=cmd_sweep)
 

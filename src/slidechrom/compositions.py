@@ -174,6 +174,13 @@ class WeakComposition:
 
     @classmethod
     def from_json(cls, d: dict) -> "WeakComposition":
+        """Inverse of to_json.  Raises ValueError on any other shape."""
+        if not (
+            isinstance(d, dict) and type(d.get("lo")) is int
+            and isinstance(d.get("entries"), list)
+            and all(type(v) is int for v in d["entries"])
+        ):
+            raise ValueError(f"weak composition must be {{lo, entries}}, got {d!r}")
         return cls(d["entries"], d["lo"])
 
 

@@ -22,8 +22,7 @@ class PartialDyckPath:
     __slots__ = ("n", "r", "steps", "_heights")
 
     def __init__(self, steps: str, n: int, r: int):
-        if n < 0 or r < 0:
-            raise ValueError("n and r must be >= 0")
+        _check_size(n, r)
         if set(steps) - {"N", "E"}:
             raise ValueError(f"bad step characters in {steps!r}")
         if steps.count("N") != n or steps.count("E") != n + r:
@@ -168,6 +167,7 @@ def restriction_map(path: PartialDyckPath) -> tuple[int, ...]:
 
 def enumerate_paths(n: int, r: int) -> Iterator[PartialDyckPath]:
     """All of P(n, r) in lexicographic step-word order with E < N."""
+    _check_size(n, r)
 
     def rec(word: list[str], x: int, y: int, e_left: int, n_left: int):
         if e_left == 0 and n_left == 0:
@@ -189,6 +189,12 @@ def enumerate_paths(n: int, r: int) -> Iterator[PartialDyckPath]:
 def count_paths(n: int, r: int) -> int:
     import math
 
+    _check_size(n, r)
     total = math.comb(2 * n + r, n)
     bad = math.comb(2 * n + r, n - 1) if n >= 1 else 0
     return total - bad
+
+
+def _check_size(n: int, r: int) -> None:
+    if n < 0 or r < 0:
+        raise ValueError(f"n and r must be >= 0, got n={n}, r={r}")

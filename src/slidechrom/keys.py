@@ -14,8 +14,10 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .chromatic import slide_expansion
 from .compositions import WeakComposition, Window, lex_key
 from .dyck import PartialDyckPath, enumerate_paths
+from .slides import slide_polynomial
 from .tpoly import TCoeff, TPolynomial, t_add, t_is_nonnegative, t_neg, t_scale
 
 _KEY_CACHE: dict[tuple[int, ...], dict[WeakComposition, int]] = {}
@@ -192,15 +194,13 @@ def key_expansion_of_chromatic(
 ) -> dict[WeakComposition, TCoeff]:
     """Key-basis coordinates of the slide-sum chromatic polynomial.
 
-    Goes through the slide expansion and a per-slide key expansion
-    cache, which keeps sweeps over many paths cheap.
+    Goes through the slide expansion, never the assembled polynomial,
+    and a per-slide key expansion cache, which keeps sweeps over many
+    paths cheap.
     """
-    from .chromatic import chromatic_via_slides
-    from .slides import slide_polynomial
-
     r = path.r
     w = Window(1, r)
-    _, slide_exp = chromatic_via_slides(path, w)
+    slide_exp = slide_expansion(path)
     cache = _slide_key_cache if _slide_key_cache is not None else {}
     total: dict[WeakComposition, TCoeff] = {}
     for a, tc in slide_exp.items():

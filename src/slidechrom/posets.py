@@ -105,21 +105,6 @@ class LabeledPoset:
             f" omega={self.omega}, rho={self.rho})"
         )
 
-    def hasse_dot(self) -> str:
-        lines = ["digraph P {", "  rankdir=BT;"]
-        for v in range(1, self.n + 1):
-            tags = [str(v)]
-            if self.omega is not None:
-                tags.append(f"w={self.omega[v - 1]}")
-            if self.rho is not None:
-                tags.append(f"<={self.rho[v - 1]}")
-            label = " ".join(tags)
-            lines.append(f'  {v} [label="{label}"];')
-        for a, b in sorted(self.covers()):
-            lines.append(f"  {a} -> {b};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def incomparability_poset(graph: DyckGraph) -> LabeledPoset:
     """i < j in the poset iff i < j as integers and {i,j} is a non-edge.

@@ -187,16 +187,6 @@ def positive_part(a: WeakComposition) -> WeakComposition:
     return WeakComposition.from_items((i, v) for i, v in a.items() if i >= 1)
 
 
-def concat(gamma: tuple[int, ...], delta: tuple[int, ...]) -> tuple[int, ...]:
-    return gamma + delta
-
-
-def near_concat(gamma: tuple[int, ...], delta: tuple[int, ...]) -> tuple[int, ...]:
-    if not gamma or not delta:
-        raise ValueError("near-concatenation needs nonempty factors")
-    return gamma[:-1] + (gamma[-1] + delta[0],) + delta[1:]
-
-
 def tail_strong_decomposition(
     a: WeakComposition, r: int
 ) -> list[tuple[tuple[int, ...], WeakComposition]]:
@@ -236,9 +226,3 @@ def fundamental_limit_index(a: WeakComposition) -> tuple[int, ...]:
     if not is_tail_strong(a):
         raise ValueError(f"{a} is not tail-strong")
     return a.flatten()
-
-
-def backstable_slide_truncated(a: WeakComposition, w: Window) -> TPolynomial:
-    """Slide polynomial over an arbitrary window; alias documenting that
-    truncating the unbounded-window sum is the same enumeration."""
-    return slide_polynomial(a, w)

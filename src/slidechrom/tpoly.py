@@ -263,12 +263,38 @@ class TPolynomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TPolynomial":
-        w = Window(d["window"][0], d["window"][1])
-        terms = {}
-        for item in d["terms"]:
-            e = WeakComposition.from_json(item["exp"])
-            terms[e] = {x["deg"]: int(x["coef"]) for x in item["t"]}
-        return cls(w, terms)
+        """Inverse of to_json_dict.  Raises ValueError on any other shape
+        and on a repeated exponent or t-degree, which would otherwise
+        overwrite each other."""
+        if not isinstance(d, dict):
+            raise ValueError("polynomial document must be a JSON object")
+        win, items = d.get("window"), d.get("terms")
+        if not (
+            isinstance(win, list) and len(win) == 2
+            and all(type(x) is int for x in win)
+        ):
+            raise ValueError(f"window must be [lo, hi], got {win!r}")
+        if not isinstance(items, list):
+            raise ValueError(f"terms must be a list, got {items!r}")
+        terms: dict[WeakComposition, TCoeff] = {}
+        for item in items:
+            if not (isinstance(item, dict) and isinstance(item.get("t"), list)):
+                raise ValueError(f"term must be {{exp, t: [...]}}, got {item!r}")
+            e = WeakComposition.from_json(item.get("exp"))
+            if e in terms:
+                raise ValueError(f"duplicate exponent {e}")
+            tc: TCoeff = {}
+            for x in item["t"]:
+                if not (
+                    isinstance(x, dict) and type(x.get("deg")) is int
+                    and type(x.get("coef")) in (int, str)
+                ):
+                    raise ValueError(f"t entry must be {{deg, coef}}, got {x!r}")
+                if x["deg"] in tc:
+                    raise ValueError(f"duplicate t-degree {x['deg']} at exponent {e}")
+                tc[x["deg"]] = int(x["coef"])
+            terms[e] = tc
+        return cls(Window(win[0], win[1]), terms)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)

@@ -106,6 +106,25 @@ def test_slides_bad_file(capsys):
     assert code == 2
 
 
+def _slides_error(tmp_path, capsys, doc):
+    fp = tmp_path / "poly.json"
+    fp.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "slides", str(fp))
+    assert code == 2 and out["status"] == "error"
+    return out["payload"]["error"]
+
+
+def test_slides_duplicate_exponent_is_error(tmp_path, capsys):
+    x1 = {"exp": {"lo": 1, "entries": [1]}, "t": [{"deg": 0, "coef": "1"}]}
+    msg = _slides_error(tmp_path, capsys, {"window": [1, 1], "terms": [x1, x1]})
+    assert "duplicate exponent" in msg
+
+
+def test_slides_malformed_terms_is_error(tmp_path, capsys):
+    msg = _slides_error(tmp_path, capsys, {"window": [1, 1], "terms": 5})
+    assert "terms" in msg
+
+
 # ---------------------------------------------------------------- others
 
 
@@ -130,6 +149,12 @@ def test_qsym_verify(capsys):
     assert code == 0 and doc["payload"]["verified"] is True
     alphas = [tuple(item["alpha"]) for item in doc["payload"]["expansion"]]
     assert (1, 1, 1) in alphas
+
+
+def test_qsym_rejects_m_below_one(capsys):
+    code, doc = run_json(capsys, "qsym", "ENEENENEE@3,3", "--m", "0")
+    assert code == 2 and doc["status"] == "error"
+    assert "verified" not in doc["payload"]
 
 
 def test_keys_positive_path(capsys):
@@ -163,7 +188,20 @@ def test_paths_list(capsys):
     assert all(lit.endswith("@2,1") for lit in lits)
 
 
+@pytest.mark.parametrize("n, r", [("-1", "2"), ("2", "-1")])
+def test_paths_rejects_negative_size(capsys, n, r):
+    code, doc = run_json(capsys, "paths", n, r)
+    assert code == 2 and doc["status"] == "error"
+    assert "must be >= 0" in doc["payload"]["error"]
+
+
 # ------------------------------------------------------------------- sweep
+
+
+def test_sweep_rejects_negative_threads(capsys):
+    code, doc = run_json(capsys, "sweep", "theorem", "2", "2", "--threads", "-1")
+    assert code == 2 and doc["status"] == "error"
+    assert "--threads" in doc["payload"]["error"]
 
 
 def test_sweep_theorem_small(capsys):

@@ -162,3 +162,32 @@ def test_big_integer_coefficients():
     q = p * p
     assert q.terms[WeakComposition((2,), 1)] == {0: big * big}
     assert TPolynomial.loads(q.dumps()) == q
+
+
+_X1 = {"exp": {"lo": 1, "entries": [1]}, "t": [{"deg": 0, "coef": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "doc, msg",
+    [
+        ({"window": [1, 1], "terms": [_X1, _X1]}, "duplicate exponent"),
+        (
+            # the same exponent stored at a different offset
+            {"window": [0, 1], "terms": [_X1, {**_X1, "exp": {"lo": 0, "entries": [0, 1]}}]},
+            "duplicate exponent",
+        ),
+        (
+            {"window": [1, 1], "terms": [{**_X1, "t": [{"deg": 0, "coef": "1"}] * 2}]},
+            "duplicate t-degree",
+        ),
+        ({"window": [1, 1], "terms": 5}, "terms"),
+        ([], "object"),
+        ({"window": [1], "terms": []}, "window"),
+        ({"window": [1, 1], "terms": [{"exp": 3, "t": []}]}, "weak composition"),
+        ({"window": [1, 1], "terms": [{"exp": {"lo": 1, "entries": ["a"]}, "t": []}]}, "weak composition"),
+        ({"window": [1, 1], "terms": [{**_X1, "t": [{"deg": 0, "coef": 1.5}]}]}, "t entry"),
+    ],
+)
+def test_from_json_rejects_bad_documents(doc, msg):
+    with pytest.raises(ValueError, match=msg):
+        TPolynomial.from_json_dict(doc)
