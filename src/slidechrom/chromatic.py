@@ -57,7 +57,9 @@ def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
     return TPolynomial(w, terms)
 
 
-def slide_expansion(path: PartialDyckPath) -> dict[WeakComposition, TCoeff]:
+def slide_expansion(
+    path: PartialDyckPath, lo: int | None = None
+) -> dict[WeakComposition, TCoeff]:
     """Slide expansion of the chromatic polynomial: each slide index
     mapped to the sum of t^(graph inversions of pi) over the permutations
     pi whose descent composition it is.
@@ -75,31 +77,44 @@ def slide_expansion(path: PartialDyckPath) -> dict[WeakComposition, TCoeff]:
     with equal keys merge their t-coefficients.  The permutation route
     (descent_composition, graph_inversions) stays in posets as the oracle
     the tests compare against.
+
+    With lo given, only the indices whose blocks all sit at lo or above
+    are computed.  Bounds never increase as pi grows, so a state whose
+    bound is below lo can only end below lo and is dropped.  Placing u
+    caps the bound at rho(u), so one rho(u) < lo leaves nothing; otherwise
+    only a block close from a state at bound lo goes below it.
     """
     graph = dyck_graph(path)
     rho = restriction_map(path)
     n = graph.n
     if n == 0:
         return {WeakComposition(): {0: 1}}
-    below = [0] * n  # below[u]: bitmask of the vertices under u in the poset
+    if lo is not None and min(rho) < lo:
+        return {}
+    above = [0] * n  # above[v]: bitmask of the vertices over v in the poset
     lower_nbrs = [0] * n  # lower_nbrs[u]: bitmask of u's smaller neighbours
     for a, b in incomparability_poset(graph).less:
-        below[b - 1] |= 1 << (a - 1)
+        above[a - 1] |= 1 << (b - 1)
     for i, j in graph.edges:
         lower_nbrs[j - 1] |= 1 << (i - 1)
+    full = (1 << n) - 1
     # vertex v + 1 is bit v; closed blocks run left to right
     layer = {(1 << u, u, rho[u], 1, ()): {0: 1} for u in range(n)}
     for _ in range(n - 1):
         nxt: dict[tuple, TCoeff] = {}
         for (mask, v, bound, size, closed), tc in layer.items():
+            closed_now = _close_block(bound, size, closed)
+            up = above[v]
+            free = full & ~mask
+            if lo is not None and bound <= lo:
+                free &= up  # a block closed here would end below lo
             for u in range(n):
                 bit = 1 << u
-                if mask & bit:
+                if not free & bit:
                     continue
-                if below[u] >> v & 1:
+                if up & bit:
                     key = (mask | bit, u, min(bound, rho[u]), size + 1, closed)
                 else:
-                    closed_now = _close_block(bound, size, closed)
                     key = (mask | bit, u, min(bound - 1, rho[u]), 1, closed_now)
                 d = (mask & lower_nbrs[u]).bit_count()
                 cur = nxt.get(key)

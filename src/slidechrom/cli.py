@@ -81,6 +81,19 @@ def _parse_path(literal: str) -> PartialDyckPath:
     return PartialDyckPath.parse(literal)
 
 
+def _check_m(m: int | None) -> None:
+    if m is not None and m < 1:
+        raise ValueError(f"--m must be >= 1, got {m}")
+
+
+def _refusal(n: int, force: bool) -> CommandResult | None:
+    """The error result for n > 6 without --force: n! permutations."""
+    if n <= 6 or force:
+        return None
+    msg = f"refusing n={n} > 6 without --force"
+    return CommandResult("error", {"error": msg}, [msg])
+
+
 def _window(args, default: Window) -> Window:
     if args.window is None:
         return default
@@ -164,6 +177,9 @@ def cmd_slides(args) -> CommandResult:
 
 def cmd_rdes(args) -> CommandResult:
     path = _parse_path(args.path)
+    refusal = _refusal(path.n, args.force)
+    if refusal is not None:
+        return refusal
     g = dyck_graph(path)
     rho = restriction_map(path)
     poset = incomparability_poset(g)
@@ -199,6 +215,7 @@ def cmd_rdes(args) -> CommandResult:
 
 def cmd_backstable(args) -> CommandResult:
     path = _parse_path(args.path)
+    _check_m(args.m)
     rep = verify_backstable(path, args.m)
     payload = {
         "path": path.to_json(),
@@ -223,8 +240,7 @@ def cmd_backstable(args) -> CommandResult:
 
 def cmd_qsym(args) -> CommandResult:
     path = _parse_path(args.path)
-    if args.m is not None and args.m < 1:
-        raise ValueError(f"--m must be >= 1, got {args.m}")
+    _check_m(args.m)
     exp = fundamental_expansion(path)
     order = sorted(exp)
     payload: dict = {
@@ -315,12 +331,10 @@ def _sweep_one(task):
 
 
 def cmd_sweep(args) -> CommandResult:
-    if args.n > 6 and not args.force:
-        return CommandResult(
-            "error",
-            {"error": f"refusing n={args.n} > 6 without --force"},
-            [f"refusing n={args.n} > 6 without --force"],
-        )
+    refusal = _refusal(args.n, args.force)
+    if refusal is not None:
+        return refusal
+    _check_m(args.m)
     if args.threads is not None and args.threads < 0:
         raise ValueError(f"--threads must be >= 0, got {args.threads}")
     mode = args.mode
@@ -405,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rdes", help="per-permutation descent composition table")
     p.add_argument("path")
+    p.add_argument("--force", action="store_true", help="allow n > 6")
     p.set_defaults(func=cmd_rdes)
 
     p = sub.add_parser("backstable", help="verify the truncation identity for a path")

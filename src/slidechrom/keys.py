@@ -1,26 +1,31 @@
 """Demazure key polynomials, exact expansion of polynomials in the key
 basis, and the search for expansion coefficients with negative entries.
 
-Key polynomials live in x_1..x_r.  The expansion solves the change of
-basis exactly over the integers and certifies itself by reducing the
-input to zero; a nonzero remainder raises, so a wrong answer cannot be
-returned silently.
+Key polynomials live in x_1..x_r.  Inside this module an exponent is a
+plain tuple (e_1, e_2, ...) with trailing zeros trimmed and a
+coefficient is a plain int: slide and key polynomials have t^0
+coefficients only, so the peel runs one t-degree at a time.  The
+expansion solves the change of basis exactly over the integers and
+certifies itself by reducing the input to zero; a nonzero remainder
+raises, so a wrong answer cannot be returned silently.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .chromatic import slide_expansion
-from .compositions import WeakComposition, Window, lex_key
+from .compositions import WeakComposition, Window
 from .dyck import PartialDyckPath, enumerate_paths
 from .slides import slide_polynomial
-from .tpoly import TCoeff, TPolynomial, t_add, t_is_nonnegative, t_neg, t_scale
+from .tpoly import TCoeff, TPolynomial, t_add, t_is_nonnegative, t_mul, t_neg
 
-_KEY_CACHE: dict[tuple[int, ...], dict[WeakComposition, int]] = {}
+# trimmed exponent -> the key polynomial's (exponent, coefficient) pairs
+_KEY_CACHE: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
 
 
 def divided_difference(p: TPolynomial, i: int) -> TPolynomial:
@@ -74,48 +79,58 @@ def key_polynomial(a: WeakComposition, r: int) -> TPolynomial:
     """
     if a.weight() and (a.lo < 1 or a.hi > r):
         raise ValueError(f"support of {a} outside [1, {r}]")
-    w = Window(1, r)
-    vec = tuple(a[i] for i in range(1, r + 1))
-    terms = _key_terms(vec)
-    return TPolynomial(w, terms)
-
-
-def _key_terms(vec: tuple[int, ...]) -> dict[WeakComposition, TCoeff]:
-    trimmed = vec
-    while trimmed and trimmed[-1] == 0:
-        trimmed = trimmed[:-1]
-    cached = _KEY_CACHE.get(trimmed)
-    if cached is not None:
-        return {e: {0: c} for e, c in cached.items()}
-    r = len(vec)
-    ascent = next(
-        (i for i in range(r - 1) if vec[i] < vec[i + 1]), None
+    return TPolynomial(
+        Window(1, r),
+        {WeakComposition(e): {0: c} for e, c in _key_terms(_vector(a))},
     )
-    if ascent is None:
-        e = WeakComposition(vec, 1)
-        result = {e: 1}
+
+
+def _vector(e: WeakComposition) -> tuple[int, ...]:
+    # exponents from x_1 on, trailing zeros trimmed; needs e.lo >= 1 or e zero
+    return (0,) * (e.lo - 1) + e.entries if e.entries else ()
+
+
+def _trim(vec: tuple[int, ...]) -> tuple[int, ...]:
+    while vec and vec[-1] == 0:
+        vec = vec[:-1]
+    return vec
+
+
+def _key_terms(vec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Monomials of the key polynomial of a trimmed exponent vector.
+
+    kappa_vec = pi_i kappa_(s_i vec) at the smallest ascent i, with the
+    closed form of pi_i on a monomial x_i^p x_(i+1)^q: for p >= q the sum
+    of x_i^(p-k) x_(i+1)^(q+k) over 0 <= k <= p - q, for p < q the
+    negated sum of x_i^(p+k) x_(i+1)^(q-k) over 0 < k < q - p.
+    """
+    cached = _KEY_CACHE.get(vec)
+    if cached is not None:
+        return cached
+    i = next((i for i in range(len(vec) - 1) if vec[i] < vec[i + 1]), None)
+    if i is None:
+        result: tuple = ((vec, 1),)
     else:
-        swapped = list(vec)
-        swapped[ascent], swapped[ascent + 1] = (
-            swapped[ascent + 1],
-            swapped[ascent],
-        )
-        inner = TPolynomial(
-            Window(1, r), _key_terms(tuple(swapped))
-        )
-        outer = demazure_operator(inner, ascent + 1)
-        result = {e: tc[0] for e, tc in outer.terms.items()}
-    _KEY_CACHE[trimmed] = result
-    return {e: {0: c} for e, c in result.items()}
+        swapped = vec[:i] + (vec[i + 1], vec[i]) + vec[i + 2 :]
+        width = len(vec)
+        terms: dict[tuple[int, ...], int] = {}
+        for e, c in _key_terms(_trim(swapped)):
+            e = e + (0,) * (width - len(e))
+            p, q = e[i], e[i + 1]
+            if p >= q:
+                shifts, sign = range(p - q + 1), 1
+            else:
+                shifts, sign = range(-1, p - q, -1), -1
+            for k in shifts:
+                f = _trim(e[:i] + (p - k, q + k) + e[i + 2 :])
+                terms[f] = terms.get(f, 0) + sign * c
+        result = tuple((e, c) for e, c in terms.items() if c)
+    _KEY_CACHE[vec] = result
+    return result
 
 
 class KeyExpansionError(RuntimeError):
     """The peel could not certify an exact expansion; indicates a bug."""
-
-
-def _grade(e: WeakComposition, r: int) -> int:
-    # strictly increases whenever a unit of exponent moves to a smaller index
-    return sum((r + 1 - i) * v for i, v in e.items())
 
 
 def expand_in_keys(
@@ -123,33 +138,62 @@ def expand_in_keys(
 ) -> dict[WeakComposition, TCoeff]:
     """Write p (exponents inside [1, r]) as a Z[t]-combination of keys.
 
-    Peels the (grade, lex)-smallest exponent each round; the final
-    zero remainder certifies that the returned coefficients are exactly
-    the unique key-basis coordinates of p.
+    Each t-degree is peeled on its own.  A heap yields the exponent m of
+    smallest (grade, exponent vector), where the grade sum((r + 1 - i) *
+    m_i) grows whenever a unit of exponent moves to a smaller index; every
+    monomial of kappa_m other than x^m has a larger grade than m, so the
+    heap minimum is never touched by a later round and its coefficient is
+    final.  Subtracting coefficient * kappa_m pushes the exponents that
+    newly appear; entries that cancel are skipped when popped.  A nonzero
+    remainder left at the end raises KeyExpansionError; a zero one
+    certifies that the returned coefficients are exactly the unique
+    key-basis coordinates of p.
     """
-    for e in p.terms:
+    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
+    names: dict[tuple[int, ...], WeakComposition] = {}  # reused as result keys
+    for e, tc in p.terms.items():
         if e.weight() and (e.lo < 1 or e.hi > r):
             raise ValueError(f"exponent {e} outside [1, {r}]")
-    rem = {e: dict(tc) for e, tc in p.terms.items()}
+        vec = _vector(e)
+        names[vec] = e
+        for d, c in tc.items():
+            by_degree.setdefault(d, {})[vec] = c
+    weights = range(r, 0, -1)  # x_i weighs r + 1 - i
+
+    def entry(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        return sum(map(int.__mul__, weights, e)), e
+
     out: dict[WeakComposition, TCoeff] = {}
-    guard = 0
-    limit = 1000 + 50 * max(1, len(rem)) * (r + 2)
-    while rem:
-        guard += 1
-        if guard > limit:
-            raise KeyExpansionError("expansion failed to terminate")
-        m = min(rem, key=lambda e: (_grade(e, r), lex_key(e, 1, r)))
-        c = rem.pop(m)
-        out[m] = t_add(out.get(m, {}), c)
-        for e, kc in _key_terms(tuple(m[i] for i in range(1, r + 1))).items():
-            if e == m:
+    for d, rem in sorted(by_degree.items()):
+        heap = [entry(e) for e in rem]
+        heapq.heapify(heap)
+        found: dict[tuple[int, ...], int] = {}
+        rounds = 0
+        limit = 1000 + 50 * len(rem) * (r + 2)
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c = rem.get(m)
+            if c is None:
                 continue
-            delta = t_scale(c, -kc[0])
-            cur = t_add(rem.get(e, {}), delta)
-            if cur:
-                rem[e] = cur
-            else:
-                rem.pop(e, None)
+            rounds += 1
+            if rounds > limit:
+                raise KeyExpansionError("expansion failed to terminate")
+            found[m] = found.get(m, 0) + c
+            for e, k in _key_terms(m):
+                old = rem.get(e)
+                if old is None:
+                    rem[e] = -c * k
+                    heapq.heappush(heap, entry(e))
+                elif old == c * k:
+                    del rem[e]
+                else:
+                    rem[e] = old - c * k
+        if rem:
+            raise KeyExpansionError(f"nonzero remainder in t-degree {d}")
+        for m, c in found.items():
+            if c:
+                b = names.get(m) or WeakComposition(m)
+                out.setdefault(b, {})[d] = c
     return out
 
 
@@ -200,22 +244,15 @@ def key_expansion_of_chromatic(
     """
     r = path.r
     w = Window(1, r)
-    slide_exp = slide_expansion(path)
     cache = _slide_key_cache if _slide_key_cache is not None else {}
     total: dict[WeakComposition, TCoeff] = {}
-    for a, tc in slide_exp.items():
-        if a.weight() and (a.lo < 1 or a.hi > r):
-            # vanishes on the positive window
-            continue
+    # slide polynomials with an index below 1 vanish on the positive window
+    for a, tc in slide_expansion(path, lo=1).items():
         kk = (a, r)
         if kk not in cache:
             cache[kk] = expand_in_keys(slide_polynomial(a, w), r)
         for b, coeff in cache[kk].items():
-            add = {}
-            for d, c in tc.items():
-                for d2, c2 in coeff.items():
-                    add[d + d2] = add.get(d + d2, 0) + c * c2
-            cur = t_add(total.get(b, {}), add)
+            cur = t_add(total.get(b, {}), t_mul(tc, coeff))
             if cur:
                 total[b] = cur
             else:

@@ -219,10 +219,3 @@ def tail_strong_decomposition(
                 out.append((gamma2, WeakComposition.from_items(delta_items)))
     return out
 
-
-def fundamental_limit_index(a: WeakComposition) -> tuple[int, ...]:
-    """Index of the fundamental polynomial surviving when every positive
-    variable is set to zero; defined exactly for tail-strong a."""
-    if not is_tail_strong(a):
-        raise ValueError(f"{a} is not tail-strong")
-    return a.flatten()

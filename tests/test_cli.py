@@ -138,10 +138,23 @@ def test_rdes_row_count(capsys):
         ) == 3
 
 
+def test_rdes_refuses_large_n(capsys):
+    code, doc = run_json(capsys, "rdes", "NENENENENENENE@7,0")
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"] == {"error": "refusing n=7 > 6 without --force"}
+
+
 def test_backstable(capsys):
     code, doc = run_json(capsys, "backstable", "ENEENENEE@3,3", "--m", "1")
     assert code == 0 and doc["payload"]["equal"] is True
     assert doc["payload"]["window"] == [0, 3]
+
+
+@pytest.mark.parametrize("m", ["0", "-1", "-9"])
+def test_backstable_rejects_m_below_one(capsys, m):
+    code, doc = run_json(capsys, "backstable", "ENEENENEE@3,3", "--m", m)
+    assert code == 2 and doc["status"] == "error"
+    assert "--m must be >= 1" in doc["payload"]["error"]
 
 
 def test_qsym_verify(capsys):
@@ -215,6 +228,15 @@ def test_sweep_refuses_large_n(capsys):
     code, out = run(capsys, "sweep", "theorem", "7", "0")
     assert code == 2
     assert "--force" in out
+
+
+@pytest.mark.parametrize("mode", ["corollary", "backstable"])
+def test_sweep_rejects_m_below_one(capsys, mode):
+    code, doc = run_json(
+        capsys, "sweep", mode, "2", "1", "--m", "0", "--threads", "1"
+    )
+    assert code == 2 and doc["status"] == "error"
+    assert "--m must be >= 1" in doc["payload"]["error"]
 
 
 def test_sweep_corollary(capsys):

@@ -19,6 +19,7 @@ from slidechrom import (
     load_negative_fixtures,
     search_negative_records,
 )
+from slidechrom import keys
 from slidechrom.keys import KeyExpansionError
 from slidechrom.tpoly import t_const, t_is_nonnegative
 
@@ -106,6 +107,29 @@ def test_key_support_validation():
         key_polynomial(wc([0, 0, 1]), 2)
 
 
+def _key_by_demazure(entries, w):
+    # oracle: unswap the largest ascent (the library takes the smallest)
+    ascents = [i for i in range(len(entries) - 1) if entries[i] < entries[i + 1]]
+    if not ascents:
+        return TPolynomial.monomial(wc(entries), w)
+    i = ascents[-1]
+    swapped = entries[:i] + (entries[i + 1], entries[i]) + entries[i + 2 :]
+    return demazure_operator(_key_by_demazure(swapped, w), i + 1)
+
+
+def test_key_polynomial_matches_demazure_chain():
+    checked = 0
+    for r in range(1, 5):
+        w = Window(1, r)
+        for entries in itertools.product(range(5), repeat=r):
+            if sum(entries) <= 4:
+                assert key_polynomial(wc(entries), r) == _key_by_demazure(
+                    entries, w
+                ), entries
+                checked += 1
+    assert checked == 5 + 15 + 35 + 70
+
+
 def test_key_padding_independence():
     # trailing zeros in the index do not change the polynomial beyond window
     a = wc([2, 0, 1])
@@ -130,21 +154,39 @@ def test_expand_in_keys_x2():
 
 
 def test_expand_in_keys_random_round_trip():
+    # coefficients in two t-degrees, peeled one degree at a time; indices
+    # of weight 2 and 3 share enough monomials for terms to cancel
     rng = random.Random(12)
     r = 3
+    pool = [wc(e) for e in itertools.product(range(3), repeat=r) if sum(e) in (2, 3)]
+    cancelled = 0
     for _ in range(40):
         combo = {}
-        p = TPolynomial.zero(Window(1, r))
         for _ in range(rng.randint(1, 3)):
-            a = WeakComposition(tuple(rng.randint(0, 2) for _ in range(r)), 1)
-            c = {rng.randint(0, 2): rng.choice([-2, -1, 1, 2])}
-            if a.weight() == 0:
-                a = WeakComposition()
-            combo[a] = c if a not in combo else combo[a]
-        # rebuild from the de-duplicated dict
+            a = rng.choice(pool)
+            d = rng.randint(0, 1)
+            combo[a] = {
+                d: rng.choice([-2, -1, 1, 2]),
+                d + 1: rng.choice([-2, -1, 1, 2]),
+            }
+        p = TPolynomial.zero(Window(1, r))
         for a, c in combo.items():
             p = p + key_polynomial(a, r).scaled(c)
+        # a (monomial, t-degree) pair some key carries but p lacks cancelled
+        carried = {
+            (e, d) for a, c in combo.items()
+            for e in key_polynomial(a, r).terms for d in c
+        }
+        cancelled += sum(len(tc) for tc in p.terms.values()) < len(carried)
         assert expand_in_keys(p, r) == combo
+    assert cancelled >= 5
+
+
+def test_expand_in_keys_nonzero_remainder_raises(monkeypatch):
+    # a corrupted key polynomial (leading coefficient 2) cannot peel x2
+    monkeypatch.setitem(keys._KEY_CACHE, (0, 1), (((0, 1), 2), ((1,), 1)))
+    with pytest.raises(KeyExpansionError, match="remainder"):
+        expand_in_keys(x(2, Window(1, 2)), 2)
 
 
 def test_is_key_positive():

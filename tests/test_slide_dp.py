@@ -52,16 +52,24 @@ def permutation_fundamentals(path):
     return out
 
 
+def positive_part(expansion):
+    return {a: tc for a, tc in expansion.items() if a.lo >= 1}
+
+
 def test_small_paths_match_permutation_sum():
     assert len(SMALL) == 2870
     for p in SMALL:
-        assert slide_expansion(p) == permutation_sum(p), p.literal
+        full = slide_expansion(p)
+        assert full == permutation_sum(p), p.literal
+        assert slide_expansion(p, lo=1) == positive_part(full), p.literal
 
 
 def test_six_vertex_sample_matches_permutation_sum():
     assert len(SIX) == 468
     for p in SIX:
-        assert slide_expansion(p) == permutation_sum(p), p.literal
+        full = slide_expansion(p)
+        assert full == permutation_sum(p), p.literal
+        assert slide_expansion(p, lo=1) == positive_part(full), p.literal
 
 
 def test_flattened_sum_is_fundamental_expansion():

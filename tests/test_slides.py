@@ -1,8 +1,6 @@
 import itertools
 import random
 
-import pytest
-
 from slidechrom import (
     TPolynomial,
     WeakComposition,
@@ -15,7 +13,6 @@ from slidechrom import (
 )
 from slidechrom.slides import (
     expand_in_slides_reversed,
-    fundamental_limit_index,
     is_tail_strong,
 )
 from slidechrom.tpoly import t_const
@@ -206,8 +203,3 @@ def test_truncated_product_identity_small():
             rhs = rhs + (f.with_window(w) * s.with_window(w))
         assert lhs == rhs, m
 
-
-def test_fundamental_limit_index():
-    assert fundamental_limit_index(wc([1, 2, 0, 2, 0, 1], lo=-1)) == (1, 2, 2, 1)
-    with pytest.raises(ValueError):
-        fundamental_limit_index(wc([1, 0, 1], lo=-2))
