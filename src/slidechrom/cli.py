@@ -6,8 +6,8 @@ switches to one deterministic JSON document per invocation, with the
 polynomial schema shared with :mod:`slidechrom.tpoly`.
 
 Sweeps fan out over worker processes (--threads, default one per core);
-per-path results are aggregated commutatively and sorted before
-printing, so the thread count never changes the output.
+tasks are sorted by (r, literal) before they are handed out and results
+come back in task order, so the thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -29,15 +29,9 @@ from .chromatic import (
     verify_backstable,
     verify_fundamental_expansion,
 )
-from .compositions import Window, WeakComposition
+from .compositions import Window
 from .dyck import PartialDyckPath, count_paths, dyck_graph, enumerate_paths, restriction_map
-from .keys import (
-    fixtures_dir,
-    is_key_positive,
-    key_expansion_of_chromatic,
-    save_negative_fixtures,
-    NegativeRecord,
-)
+from .keys import is_key_positive, key_expansion_of_chromatic
 from .posets import (
     descent_composition,
     graph_inversions,
@@ -46,7 +40,7 @@ from .posets import (
     orientation_from_perm,
     tightened_bounds,
 )
-from .slides import expand_in_slides, slide_polynomial
+from .slides import expand_in_slides
 from .tpoly import TPolynomial, t_is_nonnegative, t_str
 
 
@@ -334,23 +328,22 @@ def cmd_sweep(args) -> CommandResult:
     refusal = _refusal(args.n, args.force)
     if refusal is not None:
         return refusal
-    _check_m(args.m)
     if args.threads is not None and args.threads < 0:
         raise ValueError(f"--threads must be >= 0, got {args.threads}")
     mode = args.mode
-    m = args.m if args.m is not None else (2 if mode == "backstable" else args.n)
-    tasks = []
-    for r in range(args.r + 1):
-        for p in enumerate_paths(args.n, r):
-            tasks.append((mode, p.literal, m))
+    m = args.m if args.m is not None else (2 if mode == "backstable" else max(args.n, 1))
+    _check_m(m)
+    # results come back in task order, so the output is ordered by (r, literal)
+    order = sorted(
+        (r, p.literal) for r in range(args.r + 1) for p in enumerate_paths(args.n, r)
+    )
+    tasks = [(mode, literal, m) for _, literal in order]
     threads = args.threads or os.cpu_count() or 1
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_one, tasks, chunksize=64))
     else:
         results = [_sweep_one(t) for t in tasks]
-    # aggregation is commutative: order by (r, literal) for stable output
-    results.sort(key=lambda d: (PartialDyckPath.parse(d["path"]).r, d["path"]))
     failures = [d for d in results if not d["ok"]]
     findings = [d for d in results if d.get("findings")]
     payload: dict = {

@@ -12,7 +12,6 @@ raises, so a wrong answer cannot be returned silently.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 from dataclasses import dataclass
@@ -22,7 +21,16 @@ from .chromatic import slide_expansion
 from .compositions import WeakComposition, Window
 from .dyck import PartialDyckPath, enumerate_paths
 from .slides import slide_polynomial
-from .tpoly import TCoeff, TPolynomial, t_add, t_is_nonnegative, t_mul, t_neg
+from .tpoly import (
+    ExpansionError,
+    TCoeff,
+    TPolynomial,
+    peel,
+    t_add,
+    t_is_nonnegative,
+    t_mul,
+    t_neg,
+)
 
 # trimmed exponent -> the key polynomial's (exponent, coefficient) pairs
 _KEY_CACHE: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
@@ -129,8 +137,8 @@ def _key_terms(vec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     return result
 
 
-class KeyExpansionError(RuntimeError):
-    """The peel could not certify an exact expansion; indicates a bug."""
+# the name callers of expand_in_keys catch; the shared peel raises it
+KeyExpansionError = ExpansionError
 
 
 def expand_in_keys(
@@ -138,63 +146,25 @@ def expand_in_keys(
 ) -> dict[WeakComposition, TCoeff]:
     """Write p (exponents inside [1, r]) as a Z[t]-combination of keys.
 
-    Each t-degree is peeled on its own.  A heap yields the exponent m of
-    smallest (grade, exponent vector), where the grade sum((r + 1 - i) *
-    m_i) grows whenever a unit of exponent moves to a smaller index; every
-    monomial of kappa_m other than x^m has a larger grade than m, so the
-    heap minimum is never touched by a later round and its coefficient is
-    final.  Subtracting coefficient * kappa_m pushes the exponents that
-    newly appear; entries that cancel are skipped when popped.  A nonzero
-    remainder left at the end raises KeyExpansionError; a zero one
-    certifies that the returned coefficients are exactly the unique
-    key-basis coordinates of p.
+    Peeled by tpoly.peel with the grade sum((r + 1 - i) * m_i), which
+    grows whenever a unit of exponent moves to a smaller index: every
+    monomial of kappa_m other than x^m has a larger grade than m.  A
+    nonzero remainder raises KeyExpansionError; a zero one certifies
+    that the returned coefficients are exactly the unique key-basis
+    coordinates of p.
     """
-    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
     names: dict[tuple[int, ...], WeakComposition] = {}  # reused as result keys
-    for e, tc in p.terms.items():
+    for e in p.terms:
         if e.weight() and (e.lo < 1 or e.hi > r):
             raise ValueError(f"exponent {e} outside [1, {r}]")
-        vec = _vector(e)
-        names[vec] = e
-        for d, c in tc.items():
-            by_degree.setdefault(d, {})[vec] = c
+        names[_vector(e)] = e
     weights = range(r, 0, -1)  # x_i weighs r + 1 - i
-
-    def entry(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return sum(map(int.__mul__, weights, e)), e
-
-    out: dict[WeakComposition, TCoeff] = {}
-    for d, rem in sorted(by_degree.items()):
-        heap = [entry(e) for e in rem]
-        heapq.heapify(heap)
-        found: dict[tuple[int, ...], int] = {}
-        rounds = 0
-        limit = 1000 + 50 * len(rem) * (r + 2)
-        while heap:
-            m = heapq.heappop(heap)[1]
-            c = rem.get(m)
-            if c is None:
-                continue
-            rounds += 1
-            if rounds > limit:
-                raise KeyExpansionError("expansion failed to terminate")
-            found[m] = found.get(m, 0) + c
-            for e, k in _key_terms(m):
-                old = rem.get(e)
-                if old is None:
-                    rem[e] = -c * k
-                    heapq.heappush(heap, entry(e))
-                elif old == c * k:
-                    del rem[e]
-                else:
-                    rem[e] = old - c * k
-        if rem:
-            raise KeyExpansionError(f"nonzero remainder in t-degree {d}")
-        for m, c in found.items():
-            if c:
-                b = names.get(m) or WeakComposition(m)
-                out.setdefault(b, {})[d] = c
-    return out
+    found = peel(
+        {vec: p.terms[e] for vec, e in names.items()},
+        _key_terms,
+        lambda e: sum(map(int.__mul__, weights, e)),
+    )
+    return {names.get(m) or WeakComposition(m): tc for m, tc in found.items()}
 
 
 def is_key_positive(expansion: dict[WeakComposition, TCoeff]) -> bool:
@@ -208,9 +178,6 @@ class NegativeRecord:
     path: str
     composition: WeakComposition
     coefficient: tuple[tuple[int, int], ...]  # sorted (t-degree, value)
-
-    def coeff_dict(self) -> TCoeff:
-        return dict(self.coefficient)
 
     def to_json(self) -> dict:
         return {

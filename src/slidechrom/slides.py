@@ -8,14 +8,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .compositions import (
-    WeakComposition,
-    Window,
-    leq_slide,
-    lex_key,
-    slide_set,
-)
-from .tpoly import TCoeff, TPolynomial, t_add
+from .compositions import WeakComposition, Window, slide_set
+from .tpoly import TCoeff, TPolynomial, peel
 
 
 @lru_cache(maxsize=None)
@@ -72,68 +66,24 @@ def expand_in_slides(
 ) -> dict[WeakComposition, TCoeff]:
     """Write p as a Z[t]-combination of slide polynomials on w.
 
-    Every monomial of a slide polynomial refines-and-dominates its
-    index, so indices are recovered by peeling at exponents maximal in
-    that order.  Deterministic via lexicographic tie-breaking.  Raises
-    ValueError if p has an exponent outside w and RuntimeError if the
-    peel fails to terminate, which would indicate a bug.
+    Peeled by tpoly.peel with the grade sum((w.hi + 1 - i) * m_i), which
+    is the sum of the prefix sums of m over w.  Every other monomial of
+    the slide polynomial of m dominates m in prefix sums, strictly at
+    some prefix, so its grade is strictly larger; this holds at
+    nonpositive indices too.  Raises ValueError if p has an exponent
+    outside w and RuntimeError if the peel cannot certify its result,
+    which would indicate a bug.
     """
     for e in p.terms:
         if not e.supported_in(w):
             raise ValueError(f"exponent {e} not supported in window {w}")
-    out: dict[WeakComposition, TCoeff] = {}
-    rem = p
-    max_rounds = 1000 + 10 * len(p.terms) * (
-        max((e.weight() for e in p.terms), default=0) + 2
-    ) * (w.hi - w.lo + 3)
-    rounds = 0
-    while not rem.is_zero():
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError("slide expansion failed to terminate")
-        exps = list(rem.terms)
-        maximal = [
-            m
-            for m in exps
-            if not any(e != m and leq_slide(m, e) for e in exps)
-        ]
-        lo = min(e.lo for e in maximal)
-        hi = max(e.hi for e in maximal)
-        m = min(maximal, key=lambda e: lex_key(e, lo, hi))
-        c = rem.coefficient(m)
-        out[m] = t_add(out.get(m, {}), c)
-        rem = rem - slide_polynomial(m, w).scaled(c)
-    return {e: tc for e, tc in out.items() if tc}
 
+    def basis(m: WeakComposition) -> list[tuple[WeakComposition, int]]:
+        return [(b, tc[0]) for b, tc in slide_polynomial(m, w).terms.items()]
 
-def expand_in_slides_reversed(
-    p: TPolynomial, w: Window
-) -> dict[WeakComposition, TCoeff]:
-    """Peel taking the lexicographically last maximal exponent instead;
-    must agree with expand_in_slides (used as a cross-check)."""
-    for e in p.terms:
-        if not e.supported_in(w):
-            raise ValueError(f"exponent {e} not supported in window {w}")
-    out: dict[WeakComposition, TCoeff] = {}
-    rem = p
-    rounds = 0
-    while not rem.is_zero():
-        rounds += 1
-        if rounds > 100000:
-            raise RuntimeError("slide expansion failed to terminate")
-        exps = list(rem.terms)
-        maximal = [
-            m
-            for m in exps
-            if not any(e != m and leq_slide(m, e) for e in exps)
-        ]
-        lo = min(e.lo for e in maximal)
-        hi = max(e.hi for e in maximal)
-        m = max(maximal, key=lambda e: lex_key(e, lo, hi))
-        c = rem.coefficient(m)
-        out[m] = t_add(out.get(m, {}), c)
-        rem = rem - slide_polynomial(m, w).scaled(c)
-    return {e: tc for e, tc in out.items() if tc}
+    return peel(
+        p.terms, basis, lambda m: sum((w.hi + 1 - i) * v for i, v in m.items())
+    )
 
 
 def fundamental_qsym(alpha: tuple[int, ...], m: int) -> TPolynomial:

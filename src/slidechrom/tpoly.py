@@ -10,12 +10,15 @@ never silently truncate; restriction to a window is explicit.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 from .compositions import WeakComposition, Window, lex_key
 
 TCoeff = dict  # {int: int}, no zero values stored
+E = TypeVar("E", bound=Hashable)
 
 
 def t_const(c: int) -> TCoeff:
@@ -39,11 +42,6 @@ def t_add(a: Mapping[int, int], b: Mapping[int, int]) -> TCoeff:
 
 def t_neg(a: Mapping[int, int]) -> TCoeff:
     return {d: -c for d, c in a.items()}
-
-def t_scale(a: Mapping[int, int], k: int) -> TCoeff:
-    if not k:
-        return {}
-    return {d: c * k for d, c in a.items()}
 
 
 def t_mul(a: Mapping[int, int], b: Mapping[int, int]) -> TCoeff:
@@ -207,9 +205,6 @@ class TPolynomial:
             out = t_add(out, tc)
         return out
 
-    def total_degrees(self) -> set[int]:
-        return {e.weight() for e in self.terms}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPolynomial):
             return NotImplemented
@@ -302,3 +297,62 @@ class TPolynomial:
     @classmethod
     def loads(cls, s: str) -> "TPolynomial":
         return cls.from_json_dict(json.loads(s))
+
+
+class ExpansionError(RuntimeError):
+    """A peel could not certify an exact expansion; indicates a bug."""
+
+
+def peel(
+    terms: Mapping[E, Mapping[int, int]],
+    basis: Callable[[E], Iterable[tuple[E, int]]],
+    grade: Callable[[E], int],
+) -> dict[E, TCoeff]:
+    """Coordinates of sum(tc * x^e over terms) in a unitriangular basis.
+
+    basis(m) lists the monomials of the basis element indexed by m with
+    nonzero integer coefficients: x^m with coefficient 1, and others of
+    strictly larger grade.  Each t-degree is peeled on its own.  A heap
+    yields the remaining exponent m of smallest grade; no basis element
+    still to be subtracted has a monomial at m, so the coefficient of m
+    is final.  Subtracting coefficient * basis(m) pushes the exponents
+    that newly appear; entries that cancel are skipped when popped.
+    Ties in grade need no order, since the expansion is unique.
+
+    Raises ExpansionError when an exponent is peeled twice (the round
+    guard: it bounds the rounds by the number of exponents) or when a
+    nonzero remainder is left; a zero one certifies that the result is
+    exactly the unique basis coordinates.
+    """
+    by_degree: dict[int, dict[E, int]] = {}
+    for e, tc in terms.items():
+        for d, c in tc.items():
+            by_degree.setdefault(d, {})[e] = c
+    tie = itertools.count()
+    out: dict[E, TCoeff] = {}
+    for d, rem in sorted(by_degree.items()):
+        heap = [(grade(e), next(tie), e) for e in rem]
+        heapq.heapify(heap)
+        found: dict[E, int] = {}
+        while heap:
+            m = heapq.heappop(heap)[2]
+            c = rem.get(m)
+            if c is None:
+                continue
+            if m in found:
+                raise ExpansionError(f"exponent {m} peeled twice in t-degree {d}")
+            found[m] = c
+            for e, k in basis(m):
+                old = rem.get(e)
+                if old is None:
+                    rem[e] = -c * k
+                    heapq.heappush(heap, (grade(e), next(tie), e))
+                elif old == c * k:
+                    del rem[e]
+                else:
+                    rem[e] = old - c * k
+        if rem:
+            raise ExpansionError(f"nonzero remainder in t-degree {d}")
+        for m, c in found.items():
+            out.setdefault(m, {})[d] = c
+    return out

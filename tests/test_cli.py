@@ -246,6 +246,12 @@ def test_sweep_corollary(capsys):
     assert code == 0 and doc["payload"]["failures"] == []
 
 
+def test_sweep_corollary_default_m_is_at_least_one(capsys):
+    # m defaults to n, which would be the empty window at n = 0
+    code, doc = run_json(capsys, "sweep", "corollary", "0", "0", "--threads", "1")
+    assert code == 0 and doc["payload"]["m"] == 1
+
+
 def test_sweep_json_deterministic_across_threads(capsys):
     _, out1 = run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", "1")
     _, out2 = run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", "3")

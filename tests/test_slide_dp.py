@@ -6,10 +6,13 @@ import itertools
 from slidechrom import (
     PartialDyckPath,
     WeakComposition,
+    Window,
+    chromatic_brute,
     comp_of_subset,
     descent_composition,
     dyck_graph,
     enumerate_paths,
+    expand_in_slides,
     fundamental_expansion,
     graph_inversions,
     incomparability_poset,
@@ -70,6 +73,21 @@ def test_six_vertex_sample_matches_permutation_sum():
         full = slide_expansion(p)
         assert full == permutation_sum(p), p.literal
         assert slide_expansion(p, lo=1) == positive_part(full), p.literal
+
+
+def test_slide_peel_matches_dp_on_extended_windows():
+    # peeling the brute-force polynomial on [1 - m, r] recovers the DP's
+    # indices with no part below 1 - m, also at nonpositive indices
+    cases = 0
+    for p in SMALL:
+        if p.n > 4:
+            continue
+        for m in (0, 1, 2):
+            w = Window(1 - m, p.r)
+            got = expand_in_slides(chromatic_brute(p, w), w)
+            assert got == slide_expansion(p, lo=1 - m), (p.literal, m)
+            cases += 1
+    assert cases == 2478
 
 
 def test_flattened_sum_is_fundamental_expansion():

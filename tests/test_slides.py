@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from slidechrom import (
     TPolynomial,
     WeakComposition,
@@ -11,10 +13,8 @@ from slidechrom import (
     slide_polynomial_by_chains,
     tail_strong_decomposition,
 )
-from slidechrom.slides import (
-    expand_in_slides_reversed,
-    is_tail_strong,
-)
+from slidechrom import slides
+from slidechrom.slides import is_tail_strong
 from slidechrom.tpoly import t_const
 
 
@@ -113,18 +113,40 @@ def test_expand_fig3_triple():
     }
 
 
-def test_expand_reversed_agrees():
+def test_expand_random_round_trip():
+    # coefficients in two t-degrees, on windows with and without
+    # nonpositive indices; indices of weight 2 and 3 share enough
+    # monomials for terms to cancel
     rng = random.Random(17)
+    pools = {
+        lo: [
+            a for e in itertools.product(range(3), repeat=4 - lo)
+            if (a := WeakComposition(e, lo)).weight() in (2, 3)
+        ]
+        for lo in (-1, 1)
+    }
+    cancelled = 0
     for _ in range(120):
         w = Window(rng.choice([-1, 1]), 3)
-        p = TPolynomial.zero(w)
+        combo = {}
         for _ in range(rng.randint(1, 3)):
-            comp = [0] * (w.hi - w.lo + 1)
-            for _ in range(rng.randint(0, 4)):
-                comp[rng.randrange(len(comp))] += 1
-            a = WeakComposition(tuple(comp), w.lo)
-            p = p + slide_polynomial(a, w).scaled({rng.randint(0, 2): rng.randint(-2, 2)})
-        assert expand_in_slides(p, w) == expand_in_slides_reversed(p, w)
+            a = rng.choice(pools[w.lo])
+            d = rng.randint(0, 1)
+            combo[a] = {
+                d: rng.choice([-2, -1, 1, 2]),
+                d + 1: rng.choice([-2, -1, 1, 2]),
+            }
+        p = TPolynomial.zero(w)
+        for a, c in combo.items():
+            p = p + slide_polynomial(a, w).scaled(c)
+        # a (monomial, t-degree) pair some slide carries but p lacks cancelled
+        carried = {
+            (e, d) for a, c in combo.items()
+            for e in slide_polynomial(a, w).terms for d in c
+        }
+        cancelled += sum(len(tc) for tc in p.terms.values()) < len(carried)
+        assert expand_in_slides(p, w) == combo
+    assert cancelled >= 10
 
 
 def test_expand_detects_linear_combinations():
@@ -134,6 +156,19 @@ def test_expand_detects_linear_combinations():
         {1: 2}
     )
     assert expand_in_slides(p, w) == {a: {0: 3}, b: {1: -2}}
+
+
+def test_expand_nonzero_remainder_raises(monkeypatch):
+    # a corrupted slide polynomial (leading coefficient 2) cannot peel x2
+    w = Window(1, 2)
+    real = slides.slide_polynomial
+
+    def doubled(a, w):
+        return TPolynomial(w, {**real(a, w).terms, a: {0: 2}})
+
+    monkeypatch.setattr(slides, "slide_polynomial", doubled)
+    with pytest.raises(RuntimeError, match="remainder"):
+        expand_in_slides(real(wc([0, 1]), w), w)
 
 
 def test_expand_zero():

@@ -5,6 +5,8 @@ import pytest
 
 from slidechrom import TPolynomial, WeakComposition, Window
 from slidechrom.tpoly import (
+    ExpansionError,
+    peel,
     t_add,
     t_const,
     t_is_nonnegative,
@@ -191,3 +193,14 @@ _X1 = {"exp": {"lo": 1, "entries": [1]}, "t": [{"deg": 0, "coef": "1"}]}
 def test_from_json_rejects_bad_documents(doc, msg):
     with pytest.raises(ValueError, match=msg):
         TPolynomial.from_json_dict(doc)
+
+
+# --------------------------------------------------------------------- peel
+
+
+def test_peel_round_guard():
+    # a basis that is not unitriangular for the grade brings the peeled
+    # exponent "a" back; the guard stops the peel instead of looping
+    basis = {"a": [("a", 1), ("b", 1)], "b": [("b", 1), ("a", 1)]}
+    with pytest.raises(ExpansionError, match="peeled twice"):
+        peel({"a": {0: 1}}, basis.__getitem__, {"a": 0, "b": 1}.__getitem__)
