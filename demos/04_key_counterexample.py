@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Key-basis coefficients go negative on six vertices.
+"""Key-basis coefficients go negative.
 
 Slide expansions of these chromatic polynomials are always nonnegative;
-expanding in key polynomials instead stays positive on every graph with
-up to five vertices, then fails.  This demo replays the pinned witness:
-a six-vertex graph whose key expansion carries two -t^2 coefficients.
+expanding in key polynomials instead can fail.  Nothing fails with
+r <= 3 through four vertices, but EENEENENEENEE@4,5 already has one -t^2
+coefficient (``slidechrom sweep keys 4 5``).  This demo replays the
+first pinned six-vertex witness, a graph whose key expansion carries two
+-t^2 coefficients.
 Recomputing takes a few seconds; finding it from scratch means scanning
 about ten thousand paths (``slidechrom sweep keys 6 5``).
 """
 
 from slidechrom import (
     PartialDyckPath,
-    TPolynomial,
     Window,
     chromatic_brute,
     dyck_graph,
@@ -20,7 +21,7 @@ from slidechrom import (
     load_negative_fixtures,
     restriction_map,
 )
-from slidechrom.tpoly import t_is_nonnegative, t_str
+from slidechrom.tpoly import combine, t_is_nonnegative, t_str
 
 records = load_negative_fixtures()
 lit = records[0].path
@@ -41,10 +42,8 @@ print()
 # Independent confirmation: summing key polynomials against these
 # coefficients reproduces the brute-force chromatic polynomial exactly.
 w = Window(1, path.r)
-total = TPolynomial.zero(w)
-for b, tc in expansion.items():
-    total = total + key_polynomial(b, path.r).scaled(tc)
-ok = total == chromatic_brute(path, w)
+total = combine(expansion, lambda b: key_polynomial(b, path.r).terms.items())
+ok = total == chromatic_brute(path, w).terms
 print(f"reconstruction against brute force: {'exact' if ok else 'MISMATCH'}")
 print()
 print(f"{len(records)} pinned records over {len({r.path for r in records})} paths;")

@@ -50,7 +50,7 @@ sweep(
 )
 
 print()
-print("key-positivity search (none expected below six vertices):")
+print("key-positivity search (none expected for r <= 3; n = 4 first fails at r = 5):")
 for n in (2, 3, 4):
     t0 = time.time()
     recs = search_negative_records(n, 3)

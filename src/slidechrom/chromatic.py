@@ -13,7 +13,7 @@ from .compositions import WeakComposition, Window
 from .dyck import PartialDyckPath, dyck_graph, restriction_map
 from .posets import incomparability_poset
 from .slides import fundamental_qsym, slide_polynomial
-from .tpoly import TCoeff, TPolynomial, t_add
+from .tpoly import TCoeff, TPolynomial, combine, t_add
 
 
 def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
@@ -146,10 +146,8 @@ def chromatic_via_slides(
     and the slide expansion it was assembled from.
     """
     expansion = slide_expansion(path)
-    poly = TPolynomial.zero(w)
-    for rd in sorted(expansion, key=lambda e: (e.lo, e.entries)):
-        poly = poly + slide_polynomial(rd, w).scaled(expansion[rd])
-    return poly, expansion
+    terms = combine(expansion, lambda rd: slide_polynomial(rd, w).terms.items())
+    return TPolynomial(w, terms), expansion
 
 
 @dataclass
@@ -204,22 +202,17 @@ def fundamental_expansion(
     flatten(rdes(pi)) = transpose(comp_of_subset(Des(pi))) and each
     permutation contributes t^inv to the flattened slide index.
     """
-    out: dict[tuple[int, ...], TCoeff] = {}
-    for a, tc in slide_expansion(path).items():
-        alpha = a.flatten()
-        out[alpha] = t_add(out.get(alpha, {}), tc)
-    return out
+    return combine(slide_expansion(path), lambda a: ((a.flatten(), {0: 1}),))
 
 
 def verify_fundamental_expansion(path: PartialDyckPath, m: int) -> bool:
     """Check the expansion against brute-force colorings in [1-m, 0]."""
     w = Window(1 - m, 0)
-    brute = chromatic_brute(path, w)
-    total = TPolynomial.zero(w)
-    for alpha, tc in sorted(fundamental_expansion(path).items()):
-        f = fundamental_qsym(alpha, m).shifted(-m)
-        total = total + f.scaled(tc)
-    return brute == total
+    total = combine(
+        fundamental_expansion(path),
+        lambda alpha: fundamental_qsym(alpha, m).shifted(-m).terms.items(),
+    )
+    return chromatic_brute(path, w).terms == total
 
 
 def verify_backstable(path: PartialDyckPath, m: int) -> ChromaticReport:

@@ -6,8 +6,8 @@ switches to one deterministic JSON document per invocation, with the
 polynomial schema shared with :mod:`slidechrom.tpoly`.
 
 Sweeps fan out over worker processes (--threads, default one per core);
-tasks are sorted by (r, literal) before they are handed out and results
-come back in task order, so the thread count never changes the output.
+tasks are handed out in dyck.scan_paths order and results come back in
+task order, so the thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .chromatic import (
     verify_fundamental_expansion,
 )
 from .compositions import Window
-from .dyck import PartialDyckPath, count_paths, dyck_graph, enumerate_paths, restriction_map
-from .keys import is_key_positive, key_expansion_of_chromatic
+from .dyck import PartialDyckPath, count_paths, dyck_graph, enumerate_paths, restriction_map, scan_paths
+from .keys import is_key_positive, key_expansion_of_chromatic, negative_records
 from .posets import (
     descent_composition,
     graph_inversions,
@@ -71,10 +71,6 @@ def _expansion_lines(exp, indent: str = "  ") -> list[str]:
     return [f"{indent}{str(a):<{width}}  {t_str(exp[a])}" for a in order]
 
 
-def _parse_path(literal: str) -> PartialDyckPath:
-    return PartialDyckPath.parse(literal)
-
-
 def _check_m(m: int | None) -> None:
     if m is not None and m < 1:
         raise ValueError(f"--m must be >= 1, got {m}")
@@ -99,7 +95,7 @@ def _window(args, default: Window) -> Window:
 
 
 def cmd_graph(args) -> CommandResult:
-    path = _parse_path(args.path)
+    path = PartialDyckPath.parse(args.path)
     g = dyck_graph(path)
     rho = restriction_map(path)
     payload = {
@@ -119,7 +115,7 @@ def cmd_graph(args) -> CommandResult:
 
 
 def cmd_chromatic(args) -> CommandResult:
-    path = _parse_path(args.path)
+    path = PartialDyckPath.parse(args.path)
     w = _window(args, Window(1, path.r))
     payload: dict = {"path": path.to_json(), "window": [w.lo, w.hi], "mode": args.mode}
     lines = [f"path   {path.literal}", f"window [{w.lo}, {w.hi}]"]
@@ -170,7 +166,7 @@ def cmd_slides(args) -> CommandResult:
 
 
 def cmd_rdes(args) -> CommandResult:
-    path = _parse_path(args.path)
+    path = PartialDyckPath.parse(args.path)
     refusal = _refusal(path.n, args.force)
     if refusal is not None:
         return refusal
@@ -208,7 +204,7 @@ def cmd_rdes(args) -> CommandResult:
 
 
 def cmd_backstable(args) -> CommandResult:
-    path = _parse_path(args.path)
+    path = PartialDyckPath.parse(args.path)
     _check_m(args.m)
     rep = verify_backstable(path, args.m)
     payload = {
@@ -233,7 +229,7 @@ def cmd_backstable(args) -> CommandResult:
 
 
 def cmd_qsym(args) -> CommandResult:
-    path = _parse_path(args.path)
+    path = PartialDyckPath.parse(args.path)
     _check_m(args.m)
     exp = fundamental_expansion(path)
     order = sorted(exp)
@@ -262,7 +258,7 @@ def cmd_qsym(args) -> CommandResult:
 
 
 def cmd_keys(args) -> CommandResult:
-    path = _parse_path(args.path)
+    path = PartialDyckPath.parse(args.path)
     exp = key_expansion_of_chromatic(path)
     positive = is_key_positive(exp)
     negatives = {
@@ -310,15 +306,13 @@ def _sweep_one(task):
     if mode == "corollary":
         return {"path": literal, "ok": verify_fundamental_expansion(path, m)}
     if mode == "keys":
-        exp = key_expansion_of_chromatic(path, _SWEEP_CACHE)
         recs = [
             {
-                "composition": b.to_json(),
-                "composition_str": str(b),
-                "t": _tc_json(tc),
+                "composition": rec.composition.to_json(),
+                "composition_str": str(rec.composition),
+                "t": _tc_json(dict(rec.coefficient)),
             }
-            for b, tc in sorted(exp.items(), key=lambda kv: (kv[0].lo, kv[0].entries))
-            if not t_is_nonnegative(tc)
+            for rec in negative_records(path, _SWEEP_CACHE)
         ]
         return {"path": literal, "ok": True, "findings": recs}
     raise ValueError(mode)
@@ -333,11 +327,8 @@ def cmd_sweep(args) -> CommandResult:
     mode = args.mode
     m = args.m if args.m is not None else (2 if mode == "backstable" else max(args.n, 1))
     _check_m(m)
-    # results come back in task order, so the output is ordered by (r, literal)
-    order = sorted(
-        (r, p.literal) for r in range(args.r + 1) for p in enumerate_paths(args.n, r)
-    )
-    tasks = [(mode, literal, m) for _, literal in order]
+    # results come back in task order, so the output is in scan order
+    tasks = [(mode, p.literal, m) for p in scan_paths(args.n, args.r)]
     threads = args.threads or os.cpu_count() or 1
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -9,6 +9,7 @@ east step sits at height r + (number of N steps before it).
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import lru_cache
 from typing import Iterator
@@ -183,6 +184,16 @@ def enumerate_paths(n: int, r: int) -> Iterator[PartialDyckPath]:
             word.pop()
 
     yield from rec([], 0, r, n + r, n)
+
+
+def scan_paths(n: int, r_max: int) -> Iterator[PartialDyckPath]:
+    """All paths with n north steps and r <= r_max in scan order: r
+    ascending, then step words lexicographic, which is also the order of
+    their literals.  The size is checked here, before anything is yielded."""
+    _check_size(n, r_max)
+    return itertools.chain.from_iterable(
+        enumerate_paths(n, r) for r in range(r_max + 1)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -19,16 +19,16 @@ from pathlib import Path
 
 from .chromatic import slide_expansion
 from .compositions import WeakComposition, Window
-from .dyck import PartialDyckPath, enumerate_paths
+from .dyck import PartialDyckPath, scan_paths
 from .slides import slide_polynomial
 from .tpoly import (
     ExpansionError,
     TCoeff,
     TPolynomial,
+    combine,
     peel,
     t_add,
     t_is_nonnegative,
-    t_mul,
     t_neg,
 )
 
@@ -212,57 +212,50 @@ def key_expansion_of_chromatic(
     r = path.r
     w = Window(1, r)
     cache = _slide_key_cache if _slide_key_cache is not None else {}
-    total: dict[WeakComposition, TCoeff] = {}
-    # slide polynomials with an index below 1 vanish on the positive window
-    for a, tc in slide_expansion(path, lo=1).items():
+
+    def keys_of_slide(a: WeakComposition):
         kk = (a, r)
         if kk not in cache:
             cache[kk] = expand_in_keys(slide_polynomial(a, w), r)
-        for b, coeff in cache[kk].items():
-            cur = t_add(total.get(b, {}), t_mul(tc, coeff))
-            if cur:
-                total[b] = cur
-            else:
-                total.pop(b, None)
-    return total
+        return cache[kk].items()
+
+    # slide polynomials with an index below 1 vanish on the positive window
+    return combine(slide_expansion(path, lo=1), keys_of_slide)
+
+
+def negative_records(
+    path: PartialDyckPath, cache: dict | None = None
+) -> list[NegativeRecord]:
+    """The key coefficients of the path's chromatic polynomial with a
+    negative entry, ordered by composition; cache is the slide-to-key
+    cache of key_expansion_of_chromatic."""
+    exp = key_expansion_of_chromatic(path, cache)
+    return [
+        NegativeRecord(path.literal, b, tuple(sorted(exp[b].items())))
+        for b in sorted(exp, key=lambda e: (e.lo, e.entries))
+        if not t_is_nonnegative(exp[b])
+    ]
 
 
 def search_negative_records(
-    n: int,
-    r_max: int,
-    stop_after: int | None = None,
-    progress=None,
+    n: int, r_max: int, stop_after: int | None = None
 ) -> list[NegativeRecord]:
-    """Scan every path with the given n and r <= r_max in deterministic
-    order (r ascending, step words lexicographic) and record every key
-    coefficient of the chromatic polynomial with a negative entry.
+    """Scan every path with the given n and r <= r_max in scan_paths
+    order and record every key coefficient of the chromatic polynomial
+    with a negative entry.
 
     stop_after caps the number of offending paths before returning early.
     """
     records: list[NegativeRecord] = []
     bad_paths = 0
     cache: dict = {}
-    for r in range(r_max + 1):
-        for path in enumerate_paths(n, r):
-            exp = key_expansion_of_chromatic(path, cache)
-            found = False
-            for b in sorted(exp, key=lambda e: (e.lo, e.entries)):
-                tc = exp[b]
-                if not t_is_nonnegative(tc):
-                    found = True
-                    records.append(
-                        NegativeRecord(
-                            path=path.literal,
-                            composition=b,
-                            coefficient=tuple(sorted(tc.items())),
-                        )
-                    )
-            if found:
-                bad_paths += 1
-                if stop_after is not None and bad_paths >= stop_after:
-                    return records
-            if progress is not None:
-                progress(path)
+    for path in scan_paths(n, r_max):
+        found = negative_records(path, cache)
+        if found:
+            records += found
+            bad_paths += 1
+            if stop_after is not None and bad_paths >= stop_after:
+                break
     return records
 
 

@@ -19,6 +19,7 @@ from .compositions import WeakComposition, Window, lex_key
 
 TCoeff = dict  # {int: int}, no zero values stored
 E = TypeVar("E", bound=Hashable)
+K = TypeVar("K", bound=Hashable)
 
 
 def t_const(c: int) -> TCoeff:
@@ -154,17 +155,11 @@ class TPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "TPolynomial") -> "TPolynomial":
-        w = self.window.union(other.window)
-        terms: dict[WeakComposition, TCoeff] = {}
-        for e1, t1 in self.terms.items():
-            for e2, t2 in other.terms.items():
-                e = e1.added(e2)
-                merged = t_add(terms.get(e, {}), t_mul(t1, t2))
-                if merged:
-                    terms[e] = merged
-                else:
-                    terms.pop(e, None)
-        return TPolynomial(w, terms)
+        # the sum of t1 * x^e1 * other over the terms (e1, t1) of self
+        terms = combine(
+            self.terms, lambda e1: ((e1.added(e2), t2) for e2, t2 in other.terms.items())
+        )
+        return TPolynomial(self.window.union(other.window), terms)
 
     def scaled(self, tc: Mapping[int, int]) -> "TPolynomial":
         """Multiply by an element of Z[t]."""
@@ -297,6 +292,23 @@ class TPolynomial:
     @classmethod
     def loads(cls, s: str) -> "TPolynomial":
         return cls.from_json_dict(json.loads(s))
+
+
+def combine(
+    expansion: Mapping[K, Mapping[int, int]],
+    basis: Callable[[K], Iterable[tuple[E, Mapping[int, int]]]],
+) -> dict[E, TCoeff]:
+    """Terms of the sum of tc * basis(k) over the (k, tc) items of an
+    expansion, where basis(k) yields (exponent, t-coefficient) pairs.
+    Everything is added into one dict; entries that cancel are dropped."""
+    acc: dict[E, TCoeff] = {}
+    for k, tc in expansion.items():
+        for e, b in basis(k):
+            cur = acc.setdefault(e, {})
+            for d1, c1 in tc.items():
+                for d2, c2 in b.items():
+                    cur[d1 + d2] = cur.get(d1 + d2, 0) + c1 * c2
+    return {e: nz for e, tc in acc.items() if (nz := {d: c for d, c in tc.items() if c})}
 
 
 class ExpansionError(RuntimeError):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from slidechrom import NegativeRecord, WeakComposition, search_negative_records
 from slidechrom.cli import main
 
 
@@ -208,6 +209,15 @@ def test_paths_rejects_negative_size(capsys, n, r):
     assert "must be >= 0" in doc["payload"]["error"]
 
 
+@pytest.mark.parametrize(
+    "mode, n, r", [("keys", "2", "-1"), ("theorem", "0", "-1"), ("keys", "-1", "3")]
+)
+def test_sweep_rejects_negative_size(capsys, mode, n, r):
+    code, doc = run_json(capsys, "sweep", mode, n, r, "--threads", "1")
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"]["error"] == f"n and r must be >= 0, got n={n}, r={r}"
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -262,3 +272,26 @@ def test_sweep_keys_finds_nothing_tiny(capsys):
     code, doc = run_json(capsys, "sweep", "keys", "2", "2", "--threads", "1")
     assert code == 0
     assert doc["payload"]["findings"] == []
+
+
+def test_sweep_keys_matches_library_search(capsys):
+    # both scan drivers find the one key-negative path with n = 5, r <= 5
+    code, doc = run_json(capsys, "sweep", "keys", "5", "5", "--threads", "2")
+    recs = search_negative_records(5, 5)
+    assert recs == [
+        NegativeRecord("EENEENENEENEENE@5,5", WeakComposition((1, 3, 0, 1), 1), ((2, -1),))
+    ]
+    assert code == 0
+    assert doc["payload"]["findings"] == [
+        {
+            "path": rec.path,
+            "findings": [
+                {
+                    "composition": rec.composition.to_json(),
+                    "composition_str": str(rec.composition),
+                    "t": rec.to_json()["coefficient"],
+                }
+            ],
+        }
+        for rec in recs
+    ]

@@ -9,6 +9,7 @@ from slidechrom import (
     dyck_graph,
     enumerate_paths,
     restriction_map,
+    scan_paths,
 )
 
 # the two worked path literals used throughout
@@ -118,6 +119,20 @@ def test_enumeration_is_lex_and_unique():
     lits = [p.steps for p in enumerate_paths(3, 2)]
     assert lits == sorted(lits)
     assert len(set(lits)) == len(lits)
+
+
+def test_scan_paths_order():
+    # r ascending, then literals in string order: the order sweeps report in
+    for n in range(5):
+        lits = [(p.r, p.literal) for p in scan_paths(n, 4)]
+        assert lits == sorted(lits)
+        assert len(lits) == sum(count_paths(n, r) for r in range(5))
+
+
+@pytest.mark.parametrize("n, r_max", [(2, -1), (-1, 3)])
+def test_scan_paths_checks_size_at_call(n, r_max):
+    with pytest.raises(ValueError, match=f"got n={n}, r={r_max}"):
+        scan_paths(n, r_max)
 
 
 def test_r_zero_graph_is_complete_prefix_free():

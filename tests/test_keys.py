@@ -17,11 +17,12 @@ from slidechrom import (
     key_expansion_of_chromatic,
     key_polynomial,
     load_negative_fixtures,
+    negative_records,
     search_negative_records,
 )
 from slidechrom import keys
 from slidechrom.keys import KeyExpansionError
-from slidechrom.tpoly import t_const, t_is_nonnegative
+from slidechrom.tpoly import t_const
 
 
 def wc(entries, lo=1):
@@ -253,10 +254,7 @@ def test_fixture_records_replay():
         by_path.setdefault(rec.path, []).append(rec)
     cache: dict = {}
     for lit, pinned in sorted(by_path.items()):
-        exp = key_expansion_of_chromatic(PartialDyckPath.parse(lit), cache)
-        negs = {
-            b: tuple(sorted(tc.items()))
-            for b, tc in exp.items()
-            if not t_is_nonnegative(tc)
-        }
-        assert negs == {rec.composition: rec.coefficient for rec in pinned}, lit
+        found = negative_records(PartialDyckPath.parse(lit), cache)
+        assert found == sorted(
+            pinned, key=lambda rec: (rec.composition.lo, rec.composition.entries)
+        ), lit

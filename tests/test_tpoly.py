@@ -6,6 +6,7 @@ import pytest
 from slidechrom import TPolynomial, WeakComposition, Window
 from slidechrom.tpoly import (
     ExpansionError,
+    combine,
     peel,
     t_add,
     t_const,
@@ -204,3 +205,31 @@ def test_peel_round_guard():
     basis = {"a": [("a", 1), ("b", 1)], "b": [("b", 1), ("a", 1)]}
     with pytest.raises(ExpansionError, match="peeled twice"):
         peel({"a": {0: 1}}, basis.__getitem__, {"a": 0, "b": 1}.__getitem__)
+
+
+# ------------------------------------------------------------------ combine
+
+
+def test_combine_drops_cancelled_terms():
+    x1, x2 = WeakComposition((1,), 1), WeakComposition((1,), 2)
+    basis = {"a": [(x1, {0: 1}), (x2, {1: 2})], "b": [(x1, {0: 1}), (x2, {1: 2})]}
+    assert combine({"a": {0: 1, 2: 1}, "b": {0: -1, 2: -1}}, lambda k: basis[k]) == {}
+    assert combine({}, lambda k: basis[k]) == {}
+    # a partial cancellation keeps the surviving t-degrees only
+    assert combine({"a": {0: 1, 1: 3}, "b": {0: -1}}, lambda k: basis[k]) == {
+        x1: {1: 3},
+        x2: {2: 6},
+    }
+
+
+def test_combine_matches_repeated_addition():
+    rng = random.Random(11)
+    for _ in range(30):
+        polys = [rand_poly(rng) for _ in range(4)]
+        expansion = {
+            k: {rng.randint(0, 2): rng.choice([-2, -1, 1, 3])} for k in range(4)
+        }
+        total = TPolynomial.zero(Window(-1, 2))
+        for k, tc in expansion.items():
+            total = total + polys[k].scaled(tc)
+        assert combine(expansion, lambda k: polys[k].terms.items()) == total.terms
