@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .compositions import WeakComposition, Window
 from .dyck import PartialDyckPath, dyck_graph, restriction_map
 from .posets import incomparability_poset
-from .slides import fundamental_qsym, slide_polynomial
+from .slides import slide_polynomial
 from .tpoly import TCoeff, TPolynomial, combine, t_add
 
 
@@ -206,11 +206,12 @@ def fundamental_expansion(
 
 
 def verify_fundamental_expansion(path: PartialDyckPath, m: int) -> bool:
-    """Check the expansion against brute-force colorings in [1-m, 0]."""
+    """Check the expansion against brute-force colorings in [1-m, 0],
+    where F_alpha is the slide polynomial of alpha right-justified at 0."""
     w = Window(1 - m, 0)
     total = combine(
         fundamental_expansion(path),
-        lambda alpha: fundamental_qsym(alpha, m).shifted(-m).terms.items(),
+        lambda alpha: slide_polynomial(WeakComposition(alpha, 1 - len(alpha)), w).terms.items(),
     )
     return chromatic_brute(path, w).terms == total
 

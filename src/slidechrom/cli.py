@@ -41,7 +41,7 @@ from .posets import (
     tightened_bounds,
 )
 from .slides import expand_in_slides
-from .tpoly import TPolynomial, t_is_nonnegative, t_str
+from .tpoly import TPolynomial, t_is_nonnegative, t_str, t_to_json
 
 
 @dataclass
@@ -56,13 +56,9 @@ class CommandResult:
         return {"ok": 0, "mismatch": 1}.get(self.status, 2)
 
 
-def _tc_json(tc) -> list[dict]:
-    return [{"deg": d, "coef": str(tc[d])} for d in sorted(tc)]
-
-
 def _expansion_json(exp) -> list[dict]:
     order = sorted(exp, key=lambda e: (e.lo, e.entries))
-    return [{"index": a.to_json(), "t": _tc_json(exp[a])} for a in order]
+    return [{"index": a.to_json(), "t": t_to_json(exp[a])} for a in order]
 
 
 def _expansion_lines(exp, indent: str = "  ") -> list[str]:
@@ -236,7 +232,7 @@ def cmd_qsym(args) -> CommandResult:
     payload: dict = {
         "path": path.to_json(),
         "expansion": [
-            {"alpha": list(al), "t": _tc_json(exp[al])} for al in order
+            {"alpha": list(al), "t": t_to_json(exp[al])} for al in order
         ],
     }
     width = max((len(",".join(map(str, al))) for al in order), default=0) + 2
@@ -310,7 +306,7 @@ def _sweep_one(task):
             {
                 "composition": rec.composition.to_json(),
                 "composition_str": str(rec.composition),
-                "t": _tc_json(dict(rec.coefficient)),
+                "t": t_to_json(dict(rec.coefficient)),
             }
             for rec in negative_records(path, _SWEEP_CACHE)
         ]

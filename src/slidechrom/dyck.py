@@ -108,11 +108,6 @@ class DyckGraph:
     def __setattr__(self, name, value):
         raise AttributeError("DyckGraph is immutable")
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return (i, j) in self.edges
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 

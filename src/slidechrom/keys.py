@@ -13,7 +13,6 @@ raises, so a wrong answer cannot be returned silently.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +27,10 @@ from .tpoly import (
     combine,
     peel,
     t_add,
+    t_from_json,
     t_is_nonnegative,
     t_neg,
+    t_to_json,
 )
 
 # trimmed exponent -> the key polynomial's (exponent, coefficient) pairs
@@ -183,9 +184,7 @@ class NegativeRecord:
         return {
             "path": self.path,
             "composition": self.composition.to_json(),
-            "coefficient": [
-                {"deg": d, "coef": str(c)} for d, c in self.coefficient
-            ],
+            "coefficient": t_to_json(dict(self.coefficient)),
         }
 
     @classmethod
@@ -193,9 +192,7 @@ class NegativeRecord:
         return cls(
             path=d["path"],
             composition=WeakComposition.from_json(d["composition"]),
-            coefficient=tuple(
-                (x["deg"], int(x["coef"])) for x in d["coefficient"]
-            ),
+            coefficient=tuple(sorted(t_from_json(d["coefficient"]).items())),
         )
 
 
@@ -259,36 +256,11 @@ def search_negative_records(
     return records
 
 
-def fixtures_dir() -> Path:
-    env = os.environ.get("SLIDECHROM_FIXTURES")
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "fixtures"
-
-
-def load_negative_fixtures(directory: Path | None = None) -> list[NegativeRecord]:
-    d = directory if directory is not None else fixtures_dir()
+def load_negative_fixtures() -> list[NegativeRecord]:
+    """The records pinned in the package's fixtures directory."""
     out: list[NegativeRecord] = []
-    if not d.is_dir():
-        return out
-    for fp in sorted(d.glob("*.json")):
+    for fp in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
         data = json.loads(fp.read_text())
         for item in data.get("records", []):
             out.append(NegativeRecord.from_json(item))
     return out
-
-
-def save_negative_fixtures(
-    records: list[NegativeRecord], filename: str, directory: Path | None = None
-) -> Path:
-    d = directory if directory is not None else fixtures_dir()
-    d.mkdir(parents=True, exist_ok=True)
-    fp = d / filename
-    fp.write_text(
-        json.dumps(
-            {"records": [rec.to_json() for rec in records]},
-            indent=1,
-            sort_keys=True,
-        )
-    )
-    return fp

@@ -23,7 +23,6 @@ def slide_polynomial(a: WeakComposition, w: Window) -> TPolynomial:
     return TPolynomial(w, terms)
 
 
-@lru_cache(maxsize=None)
 def slide_polynomial_by_chains(a: WeakComposition, w: Window) -> TPolynomial:
     """Chain-model slide polynomial: one block per part of flatten(a),
     the block's values capped by the index the part occupies, weakly
@@ -87,37 +86,12 @@ def expand_in_slides(
 
 
 def fundamental_qsym(alpha: tuple[int, ...], m: int) -> TPolynomial:
-    """Fundamental quasisymmetric polynomial F_alpha(x_1..x_m): weakly
-    increasing words with a strict rise exactly where a new part starts."""
-    w = Window(1, m)
-    if sum(alpha) == 0:
-        return TPolynomial.one(w)
+    """Fundamental quasisymmetric polynomial F_alpha(x_1..x_m): the slide
+    polynomial on [1, m] of alpha right-justified to end at index m
+    (Assaf-Searles).  It vanishes when alpha has more than m parts."""
     if any(p <= 0 for p in alpha):
         raise ValueError(f"parts must be positive, got {alpha}")
-    breaks = set()
-    s = 0
-    for p in alpha[:-1]:
-        s += p
-        breaks.add(s)
-    n = sum(alpha)
-    terms: dict[WeakComposition, TCoeff] = {}
-
-    def rec(k: int, prev: int, taken: list[int]):
-        if k == n:
-            e = WeakComposition.from_values(taken)
-            tc = terms.setdefault(e, {})
-            tc[0] = tc.get(0, 0) + 1
-            return
-        lo = prev + 1 if k in breaks else prev
-        if k == 0:
-            lo = 1
-        for val in range(max(lo, 1), m + 1):
-            taken.append(val)
-            rec(k + 1, val, taken)
-            taken.pop()
-
-    rec(0, 1, [])
-    return TPolynomial(w, terms)
+    return slide_polynomial(WeakComposition(alpha, m - len(alpha) + 1), Window(1, m))
 
 
 def is_tail_strong(a: WeakComposition) -> bool:
@@ -127,14 +101,6 @@ def is_tail_strong(a: WeakComposition) -> bool:
     if not neg:
         return True
     return neg[-1] == 0 and neg == list(range(neg[0], 1))
-
-
-def nonpositive_flatten(a: WeakComposition) -> tuple[int, ...]:
-    return tuple(v for i, v in a.items() if i <= 0)
-
-
-def positive_part(a: WeakComposition) -> WeakComposition:
-    return WeakComposition.from_items((i, v) for i, v in a.items() if i >= 1)
 
 
 def tail_strong_decomposition(
@@ -151,7 +117,7 @@ def tail_strong_decomposition(
         raise ValueError(f"{a} is not tail-strong")
     if any(i > r for i in a.support()):
         raise ValueError(f"support of {a} exceeds r={r}")
-    alpha = nonpositive_flatten(a)
+    alpha = tuple(v for i, v in a.items() if i <= 0)
     pos_items = [(i, v) for i, v in a.items() if i >= 1]
     s = len(pos_items)
     out = []

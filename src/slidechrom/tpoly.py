@@ -5,7 +5,7 @@ A t-coefficient is a dict {t_degree: nonzero int}; all arithmetic is
 arbitrary-precision integer arithmetic.  TPolynomial maps exponent
 vectors (WeakComposition) to t-coefficients and carries a Window as
 metadata describing where exponents are allowed to live.  Operations
-never silently truncate; restriction to a window is explicit.
+never silently truncate: a term outside the window raises.
 """
 
 from __future__ import annotations
@@ -20,14 +20,6 @@ from .compositions import WeakComposition, Window, lex_key
 TCoeff = dict  # {int: int}, no zero values stored
 E = TypeVar("E", bound=Hashable)
 K = TypeVar("K", bound=Hashable)
-
-
-def t_const(c: int) -> TCoeff:
-    return {0: c} if c else {}
-
-
-def t_monomial(deg: int, c: int = 1) -> TCoeff:
-    return {deg: c} if c else {}
 
 
 def t_add(a: Mapping[int, int], b: Mapping[int, int]) -> TCoeff:
@@ -58,11 +50,6 @@ def t_mul(a: Mapping[int, int], b: Mapping[int, int]) -> TCoeff:
     return out
 
 
-def t_shift(a: Mapping[int, int], k: int) -> TCoeff:
-    """Multiply by t^k."""
-    return {d + k: c for d, c in a.items()}
-
-
 def t_is_nonnegative(a: Mapping[int, int]) -> bool:
     return all(c >= 0 for c in a.values())
 
@@ -89,6 +76,30 @@ def t_str(a: Mapping[int, int]) -> str:
     return out
 
 
+def t_to_json(a: Mapping[int, int]) -> list[dict]:
+    """A t-coefficient as [{deg, coef}] by ascending degree, each
+    coefficient a decimal string so big integers survive any reader."""
+    return [{"deg": d, "coef": str(a[d])} for d in sorted(a)]
+
+
+def t_from_json(items) -> TCoeff:
+    """Inverse of t_to_json.  Raises ValueError on any other shape and on
+    a repeated t-degree, which would otherwise overwrite the first."""
+    if not isinstance(items, list):
+        raise ValueError(f"t must be a list of {{deg, coef}}, got {items!r}")
+    out: TCoeff = {}
+    for x in items:
+        if not (
+            isinstance(x, dict) and type(x.get("deg")) is int
+            and type(x.get("coef")) in (int, str)
+        ):
+            raise ValueError(f"t entry must be {{deg, coef}}, got {x!r}")
+        if x["deg"] in out:
+            raise ValueError(f"duplicate t-degree {x['deg']}")
+        out[x["deg"]] = int(x["coef"])
+    return out
+
+
 class TPolynomial:
     """Exact sparse polynomial over Z[t] in window-indexed x variables.
 
@@ -99,10 +110,9 @@ class TPolynomial:
 
     __slots__ = ("window", "terms")
 
-    def __init__(self, window: Window, terms: Mapping[WeakComposition, Mapping[int, int]] = ()):
+    def __init__(self, window: Window, terms: Mapping[WeakComposition, Mapping[int, int]]):
         clean: dict[WeakComposition, TCoeff] = {}
-        src = terms.items() if isinstance(terms, Mapping) else terms
-        for e, tc in src:
+        for e, tc in terms.items():
             tc = {d: c for d, c in tc.items() if c}
             if not tc:
                 continue
@@ -110,7 +120,7 @@ class TPolynomial:
                 raise ValueError(
                     f"exponent {e} outside window [{window.lo}, {window.hi}]"
                 )
-            clean[e] = t_add(clean.get(e, {}), tc) if e in clean else tc
+            clean[e] = tc
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "terms", clean)
 
@@ -133,9 +143,6 @@ class TPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, e: WeakComposition) -> TCoeff:
-        return dict(self.terms.get(e, {}))
 
     def __add__(self, other: "TPolynomial") -> "TPolynomial":
         w = self.window.union(other.window)
@@ -173,7 +180,8 @@ class TPolynomial:
     def scale_t(self, k: int) -> "TPolynomial":
         """Multiply by t^k."""
         return TPolynomial(
-            self.window, {e: t_shift(tc, k) for e, tc in self.terms.items()}
+            self.window,
+            {e: {d + k: c for d, c in tc.items()} for e, tc in self.terms.items()},
         )
 
     def shifted(self, k: int) -> "TPolynomial":
@@ -186,12 +194,6 @@ class TPolynomial:
     def with_window(self, w: Window) -> "TPolynomial":
         """Same terms, new window metadata.  Raises if a term escapes w."""
         return TPolynomial(w, self.terms)
-
-    def restricted(self, w: Window) -> "TPolynomial":
-        """Drop terms whose exponent support leaves w.  The only truncation."""
-        return TPolynomial(
-            w, {e: dict(tc) for e, tc in self.terms.items() if e.supported_in(w)}
-        )
 
     def evaluate_all_ones(self) -> TCoeff:
         """Set every x_i = 1, leaving a polynomial in t."""
@@ -239,16 +241,7 @@ class TPolynomial:
         return f"TPolynomial(window={tuple(self.window)}, {len(self.terms)} terms)"
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for e, tc in self._sorted_terms():
-            terms.append(
-                {
-                    "exp": e.to_json(),
-                    "t": [
-                        {"deg": d, "coef": str(tc[d])} for d in sorted(tc)
-                    ],
-                }
-            )
+        terms = [{"exp": e.to_json(), "t": t_to_json(tc)} for e, tc in self._sorted_terms()]
         return {"window": [self.window.lo, self.window.hi], "terms": terms}
 
     @classmethod
@@ -273,17 +266,10 @@ class TPolynomial:
             e = WeakComposition.from_json(item.get("exp"))
             if e in terms:
                 raise ValueError(f"duplicate exponent {e}")
-            tc: TCoeff = {}
-            for x in item["t"]:
-                if not (
-                    isinstance(x, dict) and type(x.get("deg")) is int
-                    and type(x.get("coef")) in (int, str)
-                ):
-                    raise ValueError(f"t entry must be {{deg, coef}}, got {x!r}")
-                if x["deg"] in tc:
-                    raise ValueError(f"duplicate t-degree {x['deg']} at exponent {e}")
-                tc[x["deg"]] = int(x["coef"])
-            terms[e] = tc
+            try:
+                terms[e] = t_from_json(item["t"])
+            except ValueError as exc:
+                raise ValueError(f"{exc} at exponent {e}") from None
         return cls(Window(win[0], win[1]), terms)
 
     def dumps(self) -> str:

@@ -73,7 +73,7 @@ def test_edge_rule_matches_heights():
             h = p.east_heights()
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    assert g.has_edge(i, j) == (h[i + r - 1] >= j + r)
+                    assert ((i, j) in g.edges) == (h[i + r - 1] >= j + r)
 
 
 def test_interval_property():
@@ -82,7 +82,7 @@ def test_interval_property():
         g = dyck_graph(p)
         for i, j in g.sorted_edges():
             for k in range(i + 1, j):
-                assert g.has_edge(i, k) and g.has_edge(k, j)
+                assert (i, k) in g.edges and (k, j) in g.edges
 
 
 def test_graph_validation():

@@ -22,7 +22,6 @@ from slidechrom import (
 )
 from slidechrom import keys
 from slidechrom.keys import KeyExpansionError
-from slidechrom.tpoly import t_const
 
 
 def wc(entries, lo=1):
@@ -61,7 +60,7 @@ def test_demazure_idempotent():
             e = WeakComposition(
                 tuple(rng.randint(0, 2) for _ in range(3)), 1
             )
-            p = p + TPolynomial.monomial(e, w, t_const(rng.randint(1, 3)))
+            p = p + TPolynomial.monomial(e, w, {0: rng.randint(1, 3)})
         for i in (1, 2):
             q = demazure_operator(p, i)
             assert demazure_operator(q, i) == q
@@ -234,6 +233,25 @@ def test_negative_record_json_round_trip():
         coefficient=((2, -1),),
     )
     assert NegativeRecord.from_json(rec.to_json()) == rec
+
+
+@pytest.mark.parametrize(
+    "coefficient, msg",
+    [
+        ([{"deg": 2, "coef": "-1"}, {"deg": 2, "coef": "-1"}], "duplicate t-degree"),
+        ([{"deg": 2, "coef": -1.5}], "t entry"),
+        ([{"deg": "2", "coef": "-1"}], "t entry"),
+        ({"deg": 2, "coef": "-1"}, "list"),
+    ],
+)
+def test_negative_record_from_json_rejects_bad_coefficients(coefficient, msg):
+    doc = {
+        "path": "EENEENENEENEE@4,5",
+        "composition": {"lo": 1, "entries": [1, 2, 0, 1]},
+        "coefficient": coefficient,
+    }
+    with pytest.raises(ValueError, match=msg):
+        NegativeRecord.from_json(doc)
 
 
 def test_fixture_records_present():

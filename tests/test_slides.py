@@ -7,6 +7,7 @@ from slidechrom import (
     TPolynomial,
     WeakComposition,
     Window,
+    comp_of_subset,
     expand_in_slides,
     fundamental_qsym,
     slide_polynomial,
@@ -15,7 +16,6 @@ from slidechrom import (
 )
 from slidechrom import slides
 from slidechrom.slides import is_tail_strong
-from slidechrom.tpoly import t_const
 
 
 def wc(entries, lo=1):
@@ -152,7 +152,7 @@ def test_expand_random_round_trip():
 def test_expand_detects_linear_combinations():
     w = Window(1, 3)
     a, b = wc([2, 0, 1]), wc([1, 1, 1])
-    p = slide_polynomial(a, w).scaled(t_const(3)) - slide_polynomial(b, w).scaled(
+    p = slide_polynomial(a, w).scaled({0: 3}) - slide_polynomial(b, w).scaled(
         {1: 2}
     )
     assert expand_in_slides(p, w) == {a: {0: 3}, b: {1: -2}}
@@ -200,6 +200,29 @@ def test_fundamental_qsym_strict_at_breaks():
 
 def test_fundamental_qsym_too_few_variables():
     assert fundamental_qsym((1, 1, 1), 2).is_zero()
+
+
+def test_fundamental_qsym_matches_chain_model():
+    # F_alpha on [1, m] is the slide polynomial of alpha right-justified
+    # at m; the chain model is the independent enumerator
+    alphas = [
+        comp_of_subset(subset, n)
+        for n in range(7)
+        for k in range(max(n, 1))
+        for subset in itertools.combinations(range(1, n), k)
+    ]
+    assert len(alphas) == 64  # every composition of weight at most 6
+    for alpha in alphas:
+        for m in range(8):
+            a = WeakComposition(alpha, m - len(alpha) + 1)
+            assert fundamental_qsym(alpha, m) == slide_polynomial_by_chains(
+                a, Window(1, m)
+            ), (alpha, m)
+
+
+def test_fundamental_qsym_rejects_nonpositive_parts():
+    with pytest.raises(ValueError, match="positive"):
+        fundamental_qsym((1, 0), 2)
 
 
 # ------------------------------------------------------------- tail-strong
