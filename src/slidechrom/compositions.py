@@ -220,42 +220,35 @@ def leq_slide(b: WeakComposition, a: WeakComposition) -> bool:
     return refines(b.flatten(), a.flatten()) and dominates(b, a)
 
 
-def _part_refinements(part: int) -> Iterator[tuple[int, ...]]:
-    # compositions of a single positive integer
-    for cuts in range(part):
-        for pos in itertools.combinations(range(1, part), cuts):
-            prev = 0
-            out = []
-            for c in pos + (part,):
-                out.append(c - prev)
-                prev = c
-            yield tuple(out)
-
-
-def refinements(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All strong compositions refining alpha (adjacent-merge preimages)."""
-    if not alpha:
-        yield ()
-        return
-    pools = [list(_part_refinements(p)) for p in alpha]
-    for combo in itertools.product(*pools):
-        yield tuple(itertools.chain.from_iterable(combo))
-
-
 def slide_set(a: WeakComposition, w: Window) -> set[WeakComposition]:
     """All b supported in w with flatten(b) refining flatten(a) and
     b dominating a in prefix sums."""
-    if a.weight() == 0:
+    parts = a.flatten()
+    if not parts:
         return {WeakComposition()}
+    if a.lo < w.lo:
+        return set()  # b has no weight below w.lo to dominate a with
+    prefix = list(itertools.accumulate(a[i] for i in w.indices()))
     out: set[WeakComposition] = set()
-    positions = list(w.indices())
-    for beta in refinements(a.flatten()):
-        if len(beta) > len(positions):
-            continue
-        for spots in itertools.combinations(positions, len(beta)):
-            b = WeakComposition.from_items(zip(spots, beta))
-            if dominates(b, a):
-                out.add(b)
+    entries: list[int] = []  # b from w.lo on, built depth first
+
+    def walk(j: int, left: int, placed: int):
+        # the next entry takes units of part j of flatten(a), of which left
+        # remain, and keeps b's prefix sum at or above a's
+        i = len(entries)
+        if i == len(prefix):
+            return
+        for v in range(max(0, prefix[i] - placed), left + 1):
+            entries.append(v)
+            if v < left:
+                walk(j, left - v, placed + v)
+            elif j + 1 < len(parts):
+                walk(j + 1, parts[j + 1], placed + v)
+            else:
+                out.add(WeakComposition(entries, w.lo))
+            entries.pop()
+
+    walk(0, parts[0], 0)
     return out
 
 

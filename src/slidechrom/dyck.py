@@ -10,8 +10,8 @@ east step sits at height r + (number of N steps before it).
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from functools import lru_cache
 from typing import Iterator
 
 _LITERAL = re.compile(r"^([NE]*)@(\d+),(\d+)$")
@@ -191,10 +191,7 @@ def scan_paths(n: int, r_max: int) -> Iterator[PartialDyckPath]:
     )
 
 
-@lru_cache(maxsize=None)
 def count_paths(n: int, r: int) -> int:
-    import math
-
     _check_size(n, r)
     total = math.comb(2 * n + r, n)
     bad = math.comb(2 * n + r, n - 1) if n >= 1 else 0

@@ -21,7 +21,6 @@ from .compositions import WeakComposition, Window
 from .dyck import PartialDyckPath, scan_paths
 from .slides import slide_polynomial
 from .tpoly import (
-    ExpansionError,
     TCoeff,
     TPolynomial,
     combine,
@@ -138,10 +137,6 @@ def _key_terms(vec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     return result
 
 
-# the name callers of expand_in_keys catch; the shared peel raises it
-KeyExpansionError = ExpansionError
-
-
 def expand_in_keys(
     p: TPolynomial, r: int
 ) -> dict[WeakComposition, TCoeff]:
@@ -150,7 +145,7 @@ def expand_in_keys(
     Peeled by tpoly.peel with the grade sum((r + 1 - i) * m_i), which
     grows whenever a unit of exponent moves to a smaller index: every
     monomial of kappa_m other than x^m has a larger grade than m.  A
-    nonzero remainder raises KeyExpansionError; a zero one certifies
+    nonzero remainder raises tpoly.ExpansionError; a zero one certifies
     that the returned coefficients are exactly the unique key-basis
     coordinates of p.
     """
@@ -189,10 +184,22 @@ class NegativeRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "NegativeRecord":
+        """Inverse of to_json.  Raises ValueError on any other shape, on a
+        path literal PartialDyckPath.parse rejects and on a coefficient
+        with no negative entry."""
+        fields = {"path", "composition", "coefficient"}
+        if not (isinstance(d, dict) and fields <= d.keys()):
+            raise ValueError(f"record must be {{path, composition, coefficient}}, got {d!r}")
+        if not isinstance(d["path"], str):
+            raise ValueError(f"record path must be a string, got {d['path']!r}")
+        path = PartialDyckPath.parse(d["path"]).literal
+        coefficient = t_from_json(d["coefficient"])
+        if t_is_nonnegative(coefficient):
+            raise ValueError(f"record coefficient has no negative entry: {d['coefficient']!r}")
         return cls(
-            path=d["path"],
+            path=path,
             composition=WeakComposition.from_json(d["composition"]),
-            coefficient=tuple(sorted(t_from_json(d["coefficient"]).items())),
+            coefficient=tuple(sorted(coefficient.items())),
         )
 
 

@@ -8,7 +8,6 @@ from slidechrom import (
     comp_of_subset,
     dominates,
     leq_slide,
-    refinements,
     refines,
     slide_set,
     subset_of_comp,
@@ -118,13 +117,6 @@ def test_leq_slide():
     assert not leq_slide(wc([3, 1]), a)
     # weight mismatch is never comparable
     assert not leq_slide(wc([1]), a)
-
-
-def test_refinements_of_composition():
-    assert set(refinements((2, 2))) == {
-        (2, 2), (1, 1, 2), (2, 1, 1), (1, 1, 1, 1),
-    }
-    assert set(refinements(())) == {()}
 
 
 # ---------------------------------------------------------------- slide sets
@@ -238,6 +230,32 @@ def test_leq_slide_is_partial_order():
             for c in comps:
                 if leq_slide(a, b) and leq_slide(b, c):
                     assert leq_slide(a, c)
+
+
+def _weak(n, slots):
+    # every weak composition of n into the given number of slots
+    if slots == 0:
+        if n == 0:
+            yield ()
+        return
+    for v in range(n + 1):
+        for rest in _weak(n - v, slots - 1):
+            yield (v,) + rest
+
+
+def test_slide_set_matches_definition():
+    # every a of weight <= 4 on [-1, 3], on every window with -1 <= lo <= 2
+    # and lo - 1 <= hi <= 4: the empty window, weight of a below w.lo and
+    # a.hi beyond w.hi all occur
+    for k in range(5):
+        for e in _weak(k, 5):
+            a = wc(e, lo=-1)
+            for lo in range(-1, 3):
+                for hi in range(lo - 1, 5):
+                    w = Window(lo, hi)
+                    window_comps = (wc(f, lo=lo) for f in _weak(k, hi - lo + 1))
+                    expected = {b for b in window_comps if leq_slide(b, a)}
+                    assert slide_set(a, w) == expected, (a, w)
 
 
 def test_slide_set_triangular():

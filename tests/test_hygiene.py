@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked with the standard library's ast
-module: no module imports a name it never uses, and every name in
-__all__ resolves."""
+module: no module imports a name it never uses, every name in __all__
+resolves, and every definition is referenced somewhere in the repository."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import slidechrom
 
 PACKAGE = Path(slidechrom.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _imported_names(tree):
@@ -35,3 +37,43 @@ def test_all_names_resolve():
     # the package root is the only module with an __all__
     missing = [n for n in slidechrom.__all__ if not hasattr(slidechrom, n)]
     assert not missing, f"slidechrom.__all__ names missing attributes: {missing}"
+
+
+def _definitions(tree):
+    # top-level functions and classes, and the non-dunder methods of classes
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+            if node.asname:
+                yield node.asname
+
+
+def test_every_definition_is_referenced():
+    # a definition's references to itself, such as a recursive call, do not count
+    referenced = Counter()
+    for top in ("src", "tests", "demos", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            referenced.update(_references(ast.parse(path.read_text(), filename=str(path))))
+    unreferenced = sorted(
+        f"{path.name}:{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if referenced[node.name] == list(_references(node)).count(node.name)
+    )
+    assert not unreferenced, f"definitions nothing references: {unreferenced}"

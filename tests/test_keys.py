@@ -21,7 +21,7 @@ from slidechrom import (
     search_negative_records,
 )
 from slidechrom import keys
-from slidechrom.keys import KeyExpansionError
+from slidechrom.tpoly import ExpansionError
 
 
 def wc(entries, lo=1):
@@ -185,7 +185,7 @@ def test_expand_in_keys_random_round_trip():
 def test_expand_in_keys_nonzero_remainder_raises(monkeypatch):
     # a corrupted key polynomial (leading coefficient 2) cannot peel x2
     monkeypatch.setitem(keys._KEY_CACHE, (0, 1), (((0, 1), 2), ((1,), 1)))
-    with pytest.raises(KeyExpansionError, match="remainder"):
+    with pytest.raises(ExpansionError, match="remainder"):
         expand_in_keys(x(2, Window(1, 2)), 2)
 
 
@@ -233,6 +233,8 @@ def test_negative_record_json_round_trip():
         coefficient=((2, -1),),
     )
     assert NegativeRecord.from_json(rec.to_json()) == rec
+    # the path is stored as the literal PartialDyckPath.parse reads
+    assert NegativeRecord.from_json({**rec.to_json(), "path": " EENEENENEENEENENE@6,5\n"}) == rec
 
 
 @pytest.mark.parametrize(
@@ -250,6 +252,32 @@ def test_negative_record_from_json_rejects_bad_coefficients(coefficient, msg):
         "composition": {"lo": 1, "entries": [1, 2, 0, 1]},
         "coefficient": coefficient,
     }
+    with pytest.raises(ValueError, match=msg):
+        NegativeRecord.from_json(doc)
+
+
+GOOD_RECORD = {
+    "path": "EENEENENEENEE@4,5",
+    "composition": {"lo": 1, "entries": [1, 2, 0, 1]},
+    "coefficient": [{"deg": 2, "coef": "-1"}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, msg",
+    [
+        ([1], "record must be"),
+        ({}, "record must be"),
+        ({k: v for k, v in GOOD_RECORD.items() if k != "path"}, "record must be"),
+        ({k: v for k, v in GOOD_RECORD.items() if k != "composition"}, "record must be"),
+        ({k: v for k, v in GOOD_RECORD.items() if k != "coefficient"}, "record must be"),
+        ({**GOOD_RECORD, "path": 5, "coefficient": []}, "path must be a string"),
+        ({**GOOD_RECORD, "path": "X@1,1"}, "bad path literal"),
+        ({**GOOD_RECORD, "coefficient": [{"deg": 0, "coef": "3"}]}, "no negative entry"),
+        ({**GOOD_RECORD, "coefficient": []}, "no negative entry"),
+    ],
+)
+def test_negative_record_from_json_rejects_bad_records(doc, msg):
     with pytest.raises(ValueError, match=msg):
         NegativeRecord.from_json(doc)
 
