@@ -7,20 +7,24 @@ specialization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .compositions import WeakComposition, Window
 from .dyck import PartialDyckPath, dyck_graph, restriction_map
 from .posets import incomparability_poset
 from .slides import slide_polynomial
-from .tpoly import TCoeff, TPolynomial, combine, t_add
+from .tpoly import TCoeff, TPolynomial, combine
 
 
 def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
     """Sum of t^(descents) x_{f(1)}..x_{f(n)} over proper colorings f with
     w.lo <= f(i) <= min(rho(i), w.hi).
 
-    A descent is an edge {i,j}, i<j, with f(i) > f(j).
+    A descent is an edge {i,j}, i<j, with f(i) > f(j).  The walk keeps
+    the color counts of the colored vertices in one list, so a leaf keys
+    its t-coefficient by that list as a tuple; one WeakComposition is
+    built per distinct exponent at the end.
     """
     graph = dyck_graph(path)
     rho = restriction_map(path)
@@ -29,13 +33,13 @@ def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
         v: [u for u in range(1, v) if (u, v) in graph.edges]
         for v in range(1, n + 1)
     }
-    terms: dict[WeakComposition, TCoeff] = {}
+    found: dict[tuple[int, ...], TCoeff] = {}
     f = [0] * (n + 1)
+    counts = [0] * (w.hi - w.lo + 1)  # counts[c - w.lo]: vertices colored c
 
     def rec(v: int, des: int):
         if v > n:
-            e = WeakComposition.from_values(f[1:])
-            tc = terms.setdefault(e, {})
+            tc = found.setdefault(tuple(counts), {})
             tc[des] = tc.get(des, 0) + 1
             return
         hi = min(rho[v - 1], w.hi)
@@ -50,11 +54,13 @@ def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
                     bump += 1
             if ok:
                 f[v] = c
+                counts[c - w.lo] += 1
                 rec(v + 1, des + bump)
+                counts[c - w.lo] -= 1
         return
 
     rec(1, 0)
-    return TPolynomial(w, terms)
+    return TPolynomial(w, {WeakComposition(e, w.lo): tc for e, tc in found.items()})
 
 
 def slide_expansion(
@@ -68,15 +74,22 @@ def slide_expansion(
     for the loop over all n! permutations.  pi is built backwards from
     its last letter.  A state is (placed vertices as a bitmask, the front
     vertex, its tightened bound, the size of the block still open at the
-    front, the closed blocks behind it as (index, size) pairs) and holds
-    the t-coefficient summed over the suffixes that reach it.  Prepending
-    u to front v: if v < u in the poset the open block grows and the
-    bound becomes min(bound, rho(u)); otherwise the open block closes at
-    v's bound and the new bound is min(bound - 1, rho(u)).  Each placed
-    neighbour with a smaller label than u adds one inversion.  States
-    with equal keys merge their t-coefficients.  The permutation route
+    front, the closed blocks behind it) and holds the t-coefficient
+    summed over the suffixes that reach it.  Prepending u to front v: if
+    v < u in the poset the open block grows and the bound becomes
+    min(bound, rho(u)); otherwise the open block closes at v's bound and
+    the new bound is min(bound - 1, rho(u)).  Each placed neighbour with
+    a smaller label than u adds one inversion.  States with equal keys
+    merge their t-coefficients.  The permutation route
     (descent_composition, graph_inversions) stays in posets as the oracle
     the tests compare against.
+
+    Both the coefficient and the closed blocks are plain ints.  The
+    coefficient of t^d sits at bit slot * d (see _t_slot), so adding
+    t^k times a coefficient is a shift and merging two states is one
+    addition.  Each closed block is a field (index + n - 1, size), and
+    the field of the front block sits in the lowest bits.  Both are
+    unpacked once per distinct index at the end.
 
     With lo given, only the indices whose blocks all sit at lo or above
     are computed.  Bounds never increase as pi grows, so a state whose
@@ -98,44 +111,81 @@ def slide_expansion(
     for i, j in graph.edges:
         lower_nbrs[j - 1] |= 1 << (i - 1)
     full = (1 << n) - 1
-    # vertex v + 1 is bit v; closed blocks run left to right
-    layer = {(1 << u, u, rho[u], 1, ()): {0: 1} for u in range(n)}
+    slot = _t_slot(n)
+    # bounds start at some rho(u) >= 0 and each of the at most n - 1
+    # closes lowers them by at most one, so every block index lies in
+    # [1 - n, max(rho)]; off shifts that range to start at 0
+    off = n - 1
+    size_bits = n.bit_length()
+    block_bits = (max(rho) + off).bit_length() + size_bits
+    size_mask = (1 << size_bits) - 1
+    block_mask = (1 << block_bits) - 1
+
+    def close(index: int, size: int, closed: int) -> int:
+        if closed and index + off >= (closed & block_mask) >> size_bits:
+            indices = [index] + [i for i, _ in unpack_blocks(closed)]
+            raise RuntimeError(f"block indices {indices} not strictly increasing")
+        return (closed << block_bits) | ((index + off) << size_bits) | size
+
+    def unpack_blocks(closed: int) -> list[tuple[int, int]]:
+        blocks = []
+        while closed:
+            blocks.append((((closed & block_mask) >> size_bits) - off, closed & size_mask))
+            closed >>= block_bits
+        return blocks
+
+    # vertex v + 1 is bit v; the front vertex is v
+    layer = {(1 << u, u, rho[u], 1, 0): 1 for u in range(n)}
     for _ in range(n - 1):
-        nxt: dict[tuple, TCoeff] = {}
+        nxt: dict[tuple, int] = {}
+        get = nxt.get
         for (mask, v, bound, size, closed), tc in layer.items():
-            closed_now = _close_block(bound, size, closed)
+            closed_now = close(bound, size, closed)
             up = above[v]
             free = full & ~mask
             if lo is not None and bound <= lo:
                 free &= up  # a block closed here would end below lo
-            for u in range(n):
-                bit = 1 << u
-                if not free & bit:
-                    continue
+            while free:
+                bit = free & -free
+                free ^= bit
+                u = bit.bit_length() - 1
+                cap = rho[u]
                 if up & bit:
-                    key = (mask | bit, u, min(bound, rho[u]), size + 1, closed)
+                    key = (mask | bit, u, bound if bound < cap else cap, size + 1, closed)
                 else:
-                    key = (mask | bit, u, min(bound - 1, rho[u]), 1, closed_now)
-                d = (mask & lower_nbrs[u]).bit_count()
-                cur = nxt.get(key)
-                if cur is None:
-                    nxt[key] = {k + d: c for k, c in tc.items()}
-                else:
-                    for k, c in tc.items():
-                        cur[k + d] = cur.get(k + d, 0) + c
+                    key = (mask | bit, u, bound - 1 if bound <= cap else cap, 1, closed_now)
+                moved = tc << slot * (mask & lower_nbrs[u]).bit_count()
+                nxt[key] = get(key, 0) + moved
         layer = nxt
-    expansion: dict[WeakComposition, TCoeff] = {}
+    packed: dict[int, int] = {}
     for (_, _, bound, size, closed), tc in layer.items():
-        rd = WeakComposition.from_items(_close_block(bound, size, closed))
-        expansion[rd] = t_add(expansion.get(rd, {}), tc)
-    return expansion
+        closed = close(bound, size, closed)
+        packed[closed] = packed.get(closed, 0) + tc
+    return {
+        WeakComposition.from_items(unpack_blocks(closed)): _t_unpack(tc, slot)
+        for closed, tc in packed.items()
+    }
 
 
-def _close_block(index: int, size: int, closed: tuple) -> tuple:
-    if closed and index >= closed[0][0]:
-        indices = [index] + [i for i, _ in closed]
-        raise RuntimeError(f"block indices {indices} not strictly increasing")
-    return ((index, size),) + closed
+def _t_slot(n: int) -> int:
+    """Bits per t-degree in slide_expansion's packed coefficients.  Each
+    coefficient counts permutations of n letters, at most n! of them, so
+    a slot of n!'s bit length never carries into the next degree."""
+    return math.factorial(n).bit_length()
+
+
+def _t_unpack(packed: int, slot: int) -> TCoeff:
+    """The t-coefficient whose t^d entry is the slot-bit field at slot * d."""
+    mask = (1 << slot) - 1
+    tc: TCoeff = {}
+    d = 0
+    while packed:
+        c = packed & mask
+        if c:
+            tc[d] = c
+        packed >>= slot
+        d += 1
+    return tc
 
 
 def chromatic_via_slides(

@@ -73,7 +73,10 @@ def _check_m(m: int | None) -> None:
 
 
 def _refusal(n: int, force: bool) -> CommandResult | None:
-    """The error result for n > 6 without --force: n! permutations."""
+    """The error result for n > 6 without --force.  Past six vertices a
+    command's work outgrows an interactive run: rdes lists n!
+    permutations, the brute force walks up to r^n colorings, the subset
+    DP up to 2^n placed-vertex sets, and sweep repeats that per path."""
     if n <= 6 or force:
         return None
     msg = f"refusing n={n} > 6 without --force"
@@ -112,6 +115,9 @@ def cmd_graph(args) -> CommandResult:
 
 def cmd_chromatic(args) -> CommandResult:
     path = PartialDyckPath.parse(args.path)
+    refusal = _refusal(path.n, args.force)
+    if refusal is not None:
+        return refusal
     w = _window(args, Window(1, path.r))
     payload: dict = {"path": path.to_json(), "window": [w.lo, w.hi], "mode": args.mode}
     lines = [f"path   {path.literal}", f"window [{w.lo}, {w.hi}]"]
@@ -255,6 +261,9 @@ def cmd_qsym(args) -> CommandResult:
 
 def cmd_keys(args) -> CommandResult:
     path = PartialDyckPath.parse(args.path)
+    refusal = _refusal(path.n, args.force)
+    if refusal is not None:
+        return refusal
     exp = key_expansion_of_chromatic(path)
     positive = is_key_positive(exp)
     negatives = {
@@ -382,6 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--window", nargs=2, type=int, metavar=("LO", "HI"), default=None
         )
 
+    def add_force(p):
+        p.add_argument("--force", action="store_true", help="allow n > 6")
+
     p = sub.add_parser("graph", help="edges, restriction map and DOT for a path")
     p.add_argument("path", help='path literal, e.g. "ENEENENEE@3,3"')
     p.set_defaults(func=cmd_graph)
@@ -390,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--mode", choices=("brute", "theorem", "both"), default="both")
     add_window(p)
+    add_force(p)
     p.set_defaults(func=cmd_chromatic)
 
     p = sub.add_parser("slides", help="expand a polynomial file in slide polynomials")
@@ -399,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rdes", help="per-permutation descent composition table")
     p.add_argument("path")
-    p.add_argument("--force", action="store_true", help="allow n > 6")
+    add_force(p)
     p.set_defaults(func=cmd_rdes)
 
     p = sub.add_parser("backstable", help="verify the truncation identity for a path")
@@ -414,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keys", help="key expansion of the chromatic polynomial")
     p.add_argument("path")
+    add_force(p)
     p.set_defaults(func=cmd_keys)
 
     p = sub.add_parser("sweep", help="verify a statement over all paths with given n, r <= R")
@@ -422,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("r", type=int)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--threads", type=int, default=None, help="worker count (default or 0: cores)")
-    p.add_argument("--force", action="store_true", help="allow n > 6")
+    add_force(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("paths", help="count (or list) partial Dyck paths")

@@ -61,6 +61,34 @@ def test_brute_counts_colorings():
     assert poly.evaluate_all_ones() == {0: 1, 1: 1}
 
 
+def _colorings_by_product(p, w):
+    # a third model: every map f from the vertices to w, kept when it is
+    # proper and under rho, with its descents counted edge by edge
+    g = dyck_graph(p)
+    rho = restriction_map(p)
+    terms = {}
+    for f in itertools.product(w.indices(), repeat=g.n):
+        if any(c > bound for c, bound in zip(f, rho)):
+            continue
+        if any(f[i - 1] == f[j - 1] for i, j in g.edges):
+            continue
+        des = sum(1 for i, j in g.edges if f[i - 1] > f[j - 1])
+        tc = terms.setdefault(WeakComposition.from_values(f), {})
+        tc[des] = tc.get(des, 0) + 1
+    return terms
+
+
+def test_brute_matches_product_enumeration():
+    cases = 0
+    for n in range(5):
+        for r in range(4):
+            for p in enumerate_paths(n, r):
+                for w in (Window(1, r), Window(-1, r), Window(1 - n, 0)):
+                    assert chromatic_brute(p, w).terms == _colorings_by_product(p, w), (p.literal, w)
+                    cases += 1
+    assert cases == 3 * 450
+
+
 def test_theorem_equality_small_sweep():
     for n in range(0, 4):
         for r in range(0, 4):

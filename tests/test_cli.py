@@ -139,10 +139,28 @@ def test_rdes_row_count(capsys):
         ) == 3
 
 
-def test_rdes_refuses_large_n(capsys):
-    code, doc = run_json(capsys, "rdes", "NENENENENENENE@7,0")
+@pytest.mark.parametrize("command", ["chromatic", "rdes", "keys"])
+def test_refuses_large_n(capsys, command):
+    code, doc = run_json(capsys, command, "NENENENENENENE@7,0")
     assert code == 2 and doc["status"] == "error"
     assert doc["payload"] == {"error": "refusing n=7 > 6 without --force"}
+
+
+def test_force_allows_large_n(capsys):
+    # r = 0 leaves no positive color: the polynomial on [1, 0] and the
+    # key expansion are zero, while the slide expansion is not
+    code, doc = run_json(capsys, "chromatic", "NENENENENENENE@7,0", "--force")
+    assert code == 0 and doc["payload"]["equal"] is True
+    assert doc["payload"]["polynomial"]["terms"] == [] and doc["payload"]["expansion"]
+    code, doc = run_json(capsys, "keys", "NENENENENENENE@7,0", "--force")
+    assert code == 0 and doc["payload"]["expansion"] == []
+
+
+@pytest.mark.parametrize("command", ["chromatic", "keys"])
+def test_force_leaves_six_vertices_unchanged(capsys, command):
+    plain = run(capsys, "--json", command, "EENEENENEENEENENE@6,5")
+    forced = run(capsys, "--json", command, "EENEENENEENEENENE@6,5", "--force")
+    assert plain == forced and plain[0] == 0
 
 
 def test_backstable(capsys):

@@ -2,6 +2,8 @@
 permutation sum it replaces, which stays in posets as the oracle."""
 
 import itertools
+import math
+import random
 
 from slidechrom import (
     PartialDyckPath,
@@ -21,10 +23,34 @@ from slidechrom import (
     slide_expansion,
     transpose,
 )
+from slidechrom.chromatic import _t_slot, _t_unpack
 
 SMALL = [p for n in range(6) for r in range(5) for p in enumerate_paths(n, r)]
 # every 50th six-vertex path in scan order (r ascending, words lexicographic)
 SIX = [p for r in range(7) for p in enumerate_paths(6, r)][::50]
+# a few seven-vertex paths: the first key-negative one, one with rho
+# constant at 3, one whose indices reach -5, and the complete graph with
+# rho all 0, whose only index starts at 1 - n = -6
+SEVEN = [
+    PartialDyckPath.parse(lit)
+    for lit in (
+        "EENEENENEENEENENENE@7,5",
+        "EEENENENENENENENE@7,3",
+        "NEENNEENEEENENENE@7,3",
+        "NNNNNNNEEEEEEE@7,0",
+    )
+]
+
+
+def _random_path(rng, n, r):
+    # a uniform shuffle of the steps, kept once it stays above the diagonal
+    steps = ["N"] * n + ["E"] * (n + r)
+    while True:
+        rng.shuffle(steps)
+        try:
+            return PartialDyckPath("".join(steps), n, r)
+        except ValueError:
+            continue
 
 
 def _permutations(path):
@@ -73,6 +99,61 @@ def test_six_vertex_sample_matches_permutation_sum():
         full = slide_expansion(p)
         assert full == permutation_sum(p), p.literal
         assert slide_expansion(p, lo=1) == positive_part(full), p.literal
+
+
+def test_seven_vertex_paths_match_permutation_sum():
+    for p in SEVEN:
+        full = slide_expansion(p)
+        assert full == permutation_sum(p), p.literal
+        assert slide_expansion(p, lo=1) == positive_part(full), p.literal
+    assert min(a.lo for p in SEVEN for a in slide_expansion(p)) == -6
+
+
+def test_slot_holds_n_factorial():
+    # every packed coefficient counts at most n! permutations, so a slot
+    # must hold n! at every degree without carrying into the next one
+    for n in range(1, 13):
+        slot = _t_slot(n)
+        assert math.factorial(n) < 1 << slot, n
+        packed = sum(math.factorial(n) << slot * d for d in (0, 1, 3))
+        assert _t_unpack(packed, slot) == {0: math.factorial(n), 1: math.factorial(n), 3: math.factorial(n)}, n
+
+
+def test_eight_vertex_complete_graph_is_one_mahonian_index():
+    # rho is all 0 and every pair is an edge, so every block is a single
+    # vertex, the bound drops by one per letter to 1 - n, and the t-weight
+    # is the inversion number: [8]_t! at the index (1, ..., 1) from -7
+    p = PartialDyckPath.parse("NNNNNNNNEEEEEEEE@8,0")
+    mahonian = {0: 1}
+    for k in range(2, 9):
+        step = {}
+        for d, c in mahonian.items():
+            for j in range(k):
+                step[d + j] = step.get(d + j, 0) + c
+        mahonian = step
+    assert slide_expansion(p) == {WeakComposition([1] * 8, -7): mahonian}
+    assert slide_expansion(p, lo=-7) == slide_expansion(p)
+    assert slide_expansion(p, lo=-6) == {}
+
+
+def test_eight_vertex_sample():
+    rng = random.Random(8)
+    sample = [_random_path(rng, 8, r) for r in range(9) for _ in range(4)]
+    for p in sample[::12]:
+        assert slide_expansion(p) == permutation_sum(p), p.literal
+    lows = set()
+    for p in sample:
+        full = slide_expansion(p)
+        assert sum(c for tc in full.values() for c in tc.values()) == math.factorial(8), p.literal
+        assert all(a.weight() == 8 for a in full), p.literal
+        low = min(a.lo for a in full)
+        assert low >= -7, p.literal
+        # the prune compares raw bounds with lo, so it agrees with the
+        # decoded indices only if the lowest one decodes correctly
+        assert slide_expansion(p, lo=low) == full, p.literal
+        assert slide_expansion(p, lo=low + 1) == {a: tc for a, tc in full.items() if a.lo > low}, p.literal
+        lows.add(low)
+    assert min(lows) == -7 and max(lows) >= -2
 
 
 def test_slide_peel_matches_dp_on_extended_windows():
