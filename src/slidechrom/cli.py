@@ -72,12 +72,16 @@ def _check_m(m: int | None) -> None:
         raise ValueError(f"--m must be >= 1, got {m}")
 
 
-def _refusal(n: int, force: bool) -> CommandResult | None:
-    """The error result for n > 6 without --force.  Past six vertices a
-    command's work outgrows an interactive run: rdes lists n!
-    permutations, the brute force walks up to r^n colorings, the subset
-    DP up to 2^n placed-vertex sets, and sweep repeats that per path."""
-    if n <= 6 or force:
+def _refusal(args) -> CommandResult | None:
+    """The error result for n > 6 without --force, checked before every
+    command that has the option.  Past six vertices a command's work
+    outgrows an interactive run: rdes lists n! permutations, the brute
+    force walks up to r^n colorings, the subset DP up to 2^n
+    placed-vertex sets, and sweep repeats that per path."""
+    if getattr(args, "force", True):
+        return None
+    n = args.n if args.command == "sweep" else PartialDyckPath.parse(args.path).n
+    if n <= 6:
         return None
     msg = f"refusing n={n} > 6 without --force"
     return CommandResult("error", {"error": msg}, [msg])
@@ -115,9 +119,6 @@ def cmd_graph(args) -> CommandResult:
 
 def cmd_chromatic(args) -> CommandResult:
     path = PartialDyckPath.parse(args.path)
-    refusal = _refusal(path.n, args.force)
-    if refusal is not None:
-        return refusal
     w = _window(args, Window(1, path.r))
     payload: dict = {"path": path.to_json(), "window": [w.lo, w.hi], "mode": args.mode}
     lines = [f"path   {path.literal}", f"window [{w.lo}, {w.hi}]"]
@@ -169,9 +170,6 @@ def cmd_slides(args) -> CommandResult:
 
 def cmd_rdes(args) -> CommandResult:
     path = PartialDyckPath.parse(args.path)
-    refusal = _refusal(path.n, args.force)
-    if refusal is not None:
-        return refusal
     g = dyck_graph(path)
     rho = restriction_map(path)
     poset = incomparability_poset(g)
@@ -261,9 +259,6 @@ def cmd_qsym(args) -> CommandResult:
 
 def cmd_keys(args) -> CommandResult:
     path = PartialDyckPath.parse(args.path)
-    refusal = _refusal(path.n, args.force)
-    if refusal is not None:
-        return refusal
     exp = key_expansion_of_chromatic(path)
     positive = is_key_positive(exp)
     negatives = {
@@ -324,9 +319,6 @@ def _sweep_one(task):
 
 
 def cmd_sweep(args) -> CommandResult:
-    refusal = _refusal(args.n, args.force)
-    if refusal is not None:
-        return refusal
     if args.threads is not None and args.threads < 0:
         raise ValueError(f"--threads must be >= 0, got {args.threads}")
     mode = args.mode
@@ -418,11 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backstable", help="verify the truncation identity for a path")
     p.add_argument("path")
     p.add_argument("--m", type=int, default=2, help="extra nonpositive columns")
+    add_force(p)
     p.set_defaults(func=cmd_backstable)
 
     p = sub.add_parser("qsym", help="fundamental expansion on the negative alphabet")
     p.add_argument("path")
     p.add_argument("--m", type=int, default=None, help="verify truncation to m variables")
+    add_force(p)
     p.set_defaults(func=cmd_qsym)
 
     p = sub.add_parser("keys", help="key expansion of the chromatic polynomial")
@@ -451,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.func(args)
+        result = _refusal(args) or args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         result = CommandResult("error", {"error": str(exc)}, [f"error: {exc}"])
     doc = {"status": result.status, "command": args.command, "payload": result.payload}

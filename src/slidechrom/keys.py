@@ -2,12 +2,11 @@
 basis, and the search for expansion coefficients with negative entries.
 
 Key polynomials live in x_1..x_r.  Inside this module an exponent is a
-plain tuple (e_1, e_2, ...) with trailing zeros trimmed and a
-coefficient is a plain int: slide and key polynomials have t^0
-coefficients only, so the peel runs one t-degree at a time.  The
-expansion solves the change of basis exactly over the integers and
-certifies itself by reducing the input to zero; a nonzero remainder
-raises, so a wrong answer cannot be returned silently.
+plain tuple (e_1, e_2, ...) with trailing zeros trimmed, and a key
+polynomial's coefficients are plain ints (t^0 only).  The expansion
+solves the change of basis exactly over Z[t] and certifies itself by
+reducing the input to zero; a nonzero remainder raises, so a wrong
+answer cannot be returned silently.
 """
 
 from __future__ import annotations
@@ -211,17 +210,16 @@ def key_expansion_of_chromatic(
 
     Goes through the slide expansion, never the assembled polynomial,
     and a per-slide key expansion cache, which keeps sweeps over many
-    paths cheap.
+    paths cheap.  A row depends on the slide index a alone: on [1, R]
+    with R >= a.hi, every monomial of the slide polynomial of a and every
+    key polynomial it expands into lives in x_1..x_(a.hi).
     """
-    r = path.r
-    w = Window(1, r)
     cache = _slide_key_cache if _slide_key_cache is not None else {}
 
     def keys_of_slide(a: WeakComposition):
-        kk = (a, r)
-        if kk not in cache:
-            cache[kk] = expand_in_keys(slide_polynomial(a, w), r)
-        return cache[kk].items()
+        if a not in cache:
+            cache[a] = expand_in_keys(slide_polynomial(a, Window(1, a.hi)), a.hi)
+        return cache[a].items()
 
     # slide polynomials with an index below 1 vanish on the positive window
     return combine(slide_expansion(path, lo=1), keys_of_slide)

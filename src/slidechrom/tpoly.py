@@ -310,47 +310,48 @@ def peel(
 
     basis(m) lists the monomials of the basis element indexed by m with
     nonzero integer coefficients: x^m with coefficient 1, and others of
-    strictly larger grade.  Each t-degree is peeled on its own.  A heap
-    yields the remaining exponent m of smallest grade; no basis element
-    still to be subtracted has a monomial at m, so the coefficient of m
-    is final.  Subtracting coefficient * basis(m) pushes the exponents
-    that newly appear; entries that cancel are skipped when popped.
-    Ties in grade need no order, since the expansion is unique.
+    strictly larger grade.  Each remaining exponent carries its whole
+    Z[t] coefficient, so every basis element is fetched and subtracted
+    once.  A heap yields the remaining exponent m of smallest grade; no
+    basis element still to be subtracted has a monomial at m, so the
+    coefficient of m is final.  Subtracting coefficient * basis(m)
+    pushes the exponents that newly appear; entries that cancel are
+    skipped when popped.  Ties in grade need no order, since the
+    expansion is unique.
 
     Raises ExpansionError when an exponent is peeled twice (the round
     guard: it bounds the rounds by the number of exponents) or when a
     nonzero remainder is left; a zero one certifies that the result is
     exactly the unique basis coordinates.
     """
-    by_degree: dict[int, dict[E, int]] = {}
-    for e, tc in terms.items():
-        for d, c in tc.items():
-            by_degree.setdefault(d, {})[e] = c
+    rem = {e: dict(tc) for e, tc in terms.items() if tc}
     tie = itertools.count()
+    heap = [(grade(e), next(tie), e) for e in rem]
+    heapq.heapify(heap)
     out: dict[E, TCoeff] = {}
-    for d, rem in sorted(by_degree.items()):
-        heap = [(grade(e), next(tie), e) for e in rem]
-        heapq.heapify(heap)
-        found: dict[E, int] = {}
-        while heap:
-            m = heapq.heappop(heap)[2]
-            c = rem.get(m)
-            if c is None:
+    while heap:
+        m = heapq.heappop(heap)[2]
+        tc = rem.get(m)
+        if tc is None:
+            continue
+        if m in out:
+            raise ExpansionError(f"exponent {m} peeled twice")
+        items = list(tc.items())
+        out[m] = dict(items)
+        for e, k in basis(m):
+            cur = rem.get(e)
+            if cur is None:
+                rem[e] = {d: -c * k for d, c in items}
+                heapq.heappush(heap, (grade(e), next(tie), e))
                 continue
-            if m in found:
-                raise ExpansionError(f"exponent {m} peeled twice in t-degree {d}")
-            found[m] = c
-            for e, k in basis(m):
-                old = rem.get(e)
-                if old is None:
-                    rem[e] = -c * k
-                    heapq.heappush(heap, (grade(e), next(tie), e))
-                elif old == c * k:
-                    del rem[e]
+            for d, c in items:
+                v = cur.get(d, 0) - c * k
+                if v:
+                    cur[d] = v
                 else:
-                    rem[e] = old - c * k
-        if rem:
-            raise ExpansionError(f"nonzero remainder in t-degree {d}")
-        for m, c in found.items():
-            out.setdefault(m, {})[d] = c
+                    del cur[d]
+            if not cur:
+                del rem[e]
+    if rem:
+        raise ExpansionError("nonzero remainder")
     return out

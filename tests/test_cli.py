@@ -139,7 +139,7 @@ def test_rdes_row_count(capsys):
         ) == 3
 
 
-@pytest.mark.parametrize("command", ["chromatic", "rdes", "keys"])
+@pytest.mark.parametrize("command", ["chromatic", "rdes", "keys", "backstable", "qsym"])
 def test_refuses_large_n(capsys, command):
     code, doc = run_json(capsys, command, "NENENENENENENE@7,0")
     assert code == 2 and doc["status"] == "error"
@@ -154,6 +154,14 @@ def test_force_allows_large_n(capsys):
     assert doc["payload"]["polynomial"]["terms"] == [] and doc["payload"]["expansion"]
     code, doc = run_json(capsys, "keys", "NENENENENENENE@7,0", "--force")
     assert code == 0 and doc["payload"]["expansion"] == []
+    # the nonpositive columns carry the colors
+    code, doc = run_json(
+        capsys, "backstable", "NENENENENENENE@7,0", "--m", "2", "--force"
+    )
+    assert code == 0 and doc["payload"]["equal"] is True
+    assert doc["payload"]["window"] == [-1, 0] and doc["payload"]["polynomial"]["terms"]
+    code, doc = run_json(capsys, "qsym", "NENENENENENENE@7,0", "--m", "2", "--force")
+    assert code == 0 and doc["payload"]["verified"] is True
 
 
 @pytest.mark.parametrize("command", ["chromatic", "keys"])

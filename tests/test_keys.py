@@ -13,15 +13,18 @@ from slidechrom import (
     demazure_operator,
     divided_difference,
     expand_in_keys,
+    expand_in_slides,
     is_key_positive,
     key_expansion_of_chromatic,
     key_polynomial,
     load_negative_fixtures,
     negative_records,
+    scan_paths,
     search_negative_records,
+    slide_polynomial,
 )
 from slidechrom import keys
-from slidechrom.tpoly import ExpansionError
+from slidechrom.tpoly import ExpansionError, combine
 
 
 def wc(entries, lo=1):
@@ -154,7 +157,7 @@ def test_expand_in_keys_x2():
 
 
 def test_expand_in_keys_random_round_trip():
-    # coefficients in two t-degrees, peeled one degree at a time; indices
+    # coefficients in two t-degrees, peeled together in one pass; indices
     # of weight 2 and 3 share enough monomials for terms to cancel
     rng = random.Random(12)
     r = 3
@@ -187,6 +190,51 @@ def test_expand_in_keys_nonzero_remainder_raises(monkeypatch):
     monkeypatch.setitem(keys._KEY_CACHE, (0, 1), (((0, 1), 2), ((1,), 1)))
     with pytest.raises(ExpansionError, match="remainder"):
         expand_in_keys(x(2, Window(1, 2)), 2)
+
+
+def test_keys_are_slide_positive():
+    # Assaf-Searles: a key polynomial is a nonnegative sum of slide
+    # polynomials; both peels run through tpoly.peel
+    checked = 0
+    for r in range(1, 6):
+        w = Window(1, r)
+        for entries in itertools.product(range(6), repeat=r):
+            if not 1 <= sum(entries) <= 5:
+                continue
+            kappa = key_polynomial(wc(entries), r)
+            exp = expand_in_slides(kappa, w)
+            assert exp and all(tc.keys() == {0} and tc[0] > 0 for tc in exp.values())
+            assert combine(exp, lambda b: slide_polynomial(b, w).terms.items()) == kappa.terms
+            checked += 1
+    assert checked == 456
+
+
+def test_slide_key_rows_do_not_depend_on_r():
+    # on [1, R] with R >= a.hi the slide polynomial of a and the keys it
+    # expands into live in x_1..x_(a.hi)
+    indices = {
+        wc(entries)
+        for r in range(1, 7)
+        for entries in itertools.product(range(6), repeat=r)
+        if 1 <= sum(entries) <= 5
+    }
+    pairs = 0
+    for a in indices:
+        row = expand_in_keys(slide_polynomial(a, Window(1, a.hi)), a.hi)
+        for big in range(a.hi + 1, 8):
+            assert expand_in_keys(slide_polynomial(a, Window(1, big)), big) == row, (a, big)
+            pairs += 1
+    assert pairs == 917
+
+
+def test_shared_slide_key_cache_matches_fresh_caches():
+    # whole expansions, so the negative records agree too
+    paths = list(scan_paths(5, 5))
+    cache: dict = {}
+    shared = [key_expansion_of_chromatic(p, cache) for p in paths]
+    assert shared == [key_expansion_of_chromatic(p) for p in paths]
+    # one row per weak composition of 5 on [1, 5]: C(9, 4)
+    assert len(cache) == 126
 
 
 def test_is_key_positive():
