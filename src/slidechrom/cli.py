@@ -73,17 +73,32 @@ def _check_m(m: int | None) -> None:
 
 
 def _refusal(args) -> CommandResult | None:
-    """The error result for n > 6 without --force, checked before every
-    command that has the option.  Past six vertices a command's work
-    outgrows an interactive run: rdes lists n! permutations, the brute
-    force walks up to r^n colorings, the subset DP up to 2^n
-    placed-vertex sets, and sweep repeats that per path."""
+    """The error result for a run too large to start without --force,
+    checked before every command that has the option.  Past six vertices
+    a command's work outgrows an interactive run: rdes lists n!
+    permutations, the brute force walks up to r^n colorings, the subset
+    DP up to 2^n placed-vertex sets, and sweep repeats that per path.
+    Every extra color column multiplies the brute force too, so --m
+    above 6 and a --window of more than r + 6 indices are refused as
+    well; the default windows never are."""
     if getattr(args, "force", True):
         return None
-    n = args.n if args.command == "sweep" else PartialDyckPath.parse(args.path).n
-    if n <= 6:
+    if args.command == "sweep":
+        n, r = args.n, args.r
+    else:
+        path = PartialDyckPath.parse(args.path)
+        n, r = path.n, path.r
+    m = getattr(args, "m", None)
+    window = getattr(args, "window", None)
+    if n > 6:
+        msg = f"refusing n={n} > 6 without --force"
+    elif m is not None and m > 6:
+        msg = f"refusing --m {m} > 6 without --force"
+    elif window is not None and window[1] - window[0] + 1 > r + 6:
+        lo, hi = window
+        msg = f"refusing --window {lo} {hi}: {hi - lo + 1} > r + 6 indices without --force"
+    else:
         return None
-    msg = f"refusing n={n} > 6 without --force"
     return CommandResult("error", {"error": msg}, [msg])
 
 
@@ -290,7 +305,8 @@ def cmd_paths(args) -> CommandResult:
 
 # ---------------------------------------------------------------- sweep
 
-# worker globals: one key-expansion cache per process
+# worker globals: one key-to-slide row cache per process (see
+# keys.key_expansion_of_chromatic), at most C(n + r_max - 1, r_max - 1) rows
 _SWEEP_CACHE: dict = {}
 
 
@@ -384,7 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_force(p):
-        p.add_argument("--force", action="store_true", help="allow n > 6")
+        p.add_argument(
+            "--force", action="store_true",
+            help="allow n > 6, --m > 6 and a --window of more than r + 6 indices",
+        )
 
     p = sub.add_parser("graph", help="edges, restriction map and DOT for a path")
     p.add_argument("path", help='path literal, e.g. "ENEENENEE@3,3"')

@@ -137,7 +137,8 @@ class WeakComposition:
         )
 
     def supported_in(self, w: Window) -> bool:
-        return all(w.contains(i) for i in self.support())
+        # canonical entries have nonzero ends, so lo and hi bound the support
+        return not self.entries or (w.lo <= self.lo and self.hi <= w.hi)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeakComposition):

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chromatic import slide_expansion
-from .compositions import WeakComposition, Window
+from .compositions import WeakComposition, Window, slide_set
 from .dyck import PartialDyckPath, scan_paths
-from .slides import slide_polynomial
 from .tpoly import (
     TCoeff,
     TPolynomial,
-    combine,
     peel,
     t_add,
     t_from_json,
@@ -33,6 +31,9 @@ from .tpoly import (
 
 # trimmed exponent -> the key polynomial's (exponent, coefficient) pairs
 _KEY_CACHE: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
+# trimmed index -> the slide polynomial's exponents on [1, len(index)],
+# each with coefficient 1
+_SLIDE_CACHE: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
 
 
 def divided_difference(p: TPolynomial, i: int) -> TPolynomial:
@@ -153,12 +154,7 @@ def expand_in_keys(
         if e.weight() and (e.lo < 1 or e.hi > r):
             raise ValueError(f"exponent {e} outside [1, {r}]")
         names[_vector(e)] = e
-    weights = range(r, 0, -1)  # x_i weighs r + 1 - i
-    found = peel(
-        {vec: p.terms[e] for vec, e in names.items()},
-        _key_terms,
-        lambda e: sum(map(int.__mul__, weights, e)),
-    )
+    found = peel({vec: p.terms[e] for vec, e in names.items()}, _key_terms, _key_grade(r))
     return {names.get(m) or WeakComposition(m): tc for m, tc in found.items()}
 
 
@@ -202,35 +198,84 @@ class NegativeRecord:
         )
 
 
+def _slide_terms(vec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Monomials of the slide polynomial of a trimmed index on
+    [1, len(vec)], which is its slide polynomial on any [1, R] with
+    R >= len(vec): a b that dominates the index with the same weight has
+    no entry past len(vec)."""
+    cached = _SLIDE_CACHE.get(vec)
+    if cached is None:
+        cached = _SLIDE_CACHE[vec] = tuple(
+            (_vector(b), 1) for b in slide_set(WeakComposition(vec), Window(1, len(vec)))
+        )
+    return cached
+
+
+def _key_grade(r: int):
+    # x_i weighs r + 1 - i: the grade grows whenever a unit of exponent
+    # moves to a smaller index
+    weights = range(r, 0, -1)
+    return lambda e: sum(map(int.__mul__, weights, e))
+
+
+def _key_slide_row(vec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The slide expansion of the key polynomial of a trimmed index on
+    [1, len(vec)], as (slide index, coefficient) pairs.
+
+    Peeled from the memoised key monomials with the key grade, which is
+    also the slide grade on [1, len(vec)].  Keys are nonnegative sums of
+    slides (Assaf-Searles), with the slide of vec itself once and every
+    other slide index of a larger grade, so the rows form a unitriangular
+    change of basis.
+    """
+    found = peel(
+        {e: {0: c} for e, c in _key_terms(vec)}, _slide_terms, _key_grade(len(vec))
+    )
+    return tuple((a, tc[0]) for a, tc in found.items())
+
+
 def key_expansion_of_chromatic(
     path: PartialDyckPath,
-    _slide_key_cache: dict | None = None,
+    _key_slide_cache: dict | None = None,
 ) -> dict[WeakComposition, TCoeff]:
     """Key-basis coordinates of the slide-sum chromatic polynomial.
 
-    Goes through the slide expansion, never the assembled polynomial,
-    and a per-slide key expansion cache, which keeps sweeps over many
-    paths cheap.  A row depends on the slide index a alone: on [1, R]
-    with R >= a.hi, every monomial of the slide polynomial of a and every
-    key polynomial it expands into lives in x_1..x_(a.hi).
+    One tpoly.peel in slide coordinates: the slide expansion on the
+    positive window is peeled with key-to-slide rows (_key_slide_row),
+    never through the assembled polynomial.  Slide polynomials on [1, R]
+    are linearly independent, so the zero remainder that certifies the
+    peel certifies equality of polynomials.  The grade is the key grade;
+    every index of one peel has weight n, so any R at or above the
+    support gives the same order.
+
+    The cache maps a trimmed key index b to (b as a WeakComposition, its
+    row) and can be shared across a scan: a row depends on b alone, and
+    the WeakComposition is reused as the result key.  A scan over n
+    vertices and r <= r_max fills at most C(n + r_max - 1, r_max - 1)
+    entries, one per weak composition of n on [1, r_max].
     """
-    cache = _slide_key_cache if _slide_key_cache is not None else {}
-
-    def keys_of_slide(a: WeakComposition):
-        if a not in cache:
-            cache[a] = expand_in_keys(slide_polynomial(a, Window(1, a.hi)), a.hi)
-        return cache[a].items()
-
     # slide polynomials with an index below 1 vanish on the positive window
-    return combine(slide_expansion(path, lo=1), keys_of_slide)
+    expansion = slide_expansion(path, lo=1)
+    if not expansion:
+        return {}  # about two thirds of the paths of a scan: skip the peel's set-up
+    cache = _key_slide_cache if _key_slide_cache is not None else {}
+
+    def row(b: tuple[int, ...]):
+        if b not in cache:
+            cache[b] = (WeakComposition(b), _key_slide_row(b))
+        return cache[b][1]
+
+    terms = {_vector(a): tc for a, tc in expansion.items()}
+    found = peel(terms, row, _key_grade(max(map(len, terms))))
+    return {cache[b][0]: tc for b, tc in found.items()}
 
 
 def negative_records(
     path: PartialDyckPath, cache: dict | None = None
 ) -> list[NegativeRecord]:
     """The key coefficients of the path's chromatic polynomial with a
-    negative entry, ordered by composition; cache is the slide-to-key
-    cache of key_expansion_of_chromatic."""
+    negative entry, ordered by composition; cache is the key-to-slide
+    row cache of key_expansion_of_chromatic."""
     exp = key_expansion_of_chromatic(path, cache)
     return [
         NegativeRecord(path.literal, b, tuple(sorted(exp[b].items())))

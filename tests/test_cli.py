@@ -171,6 +171,63 @@ def test_force_leaves_six_vertices_unchanged(capsys, command):
     assert plain == forced and plain[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, m",
+    [
+        (["qsym", "ENE@1,1"], 3000),
+        (["backstable", "ENE@1,1"], 3000),
+        (["sweep", "corollary", "1", "1", "--threads", "1"], 3000),
+        (["qsym", "ENE@1,1"], 7),
+    ],
+)
+def test_refuses_wide_m(capsys, argv, m):
+    # a slide set's walk recurses once per window index, so --m 3000
+    # would crash it; refused before any work
+    code, doc = run_json(capsys, *argv, "--m", str(m))
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"] == {"error": f"refusing --m {m} > 6 without --force"}
+
+
+@pytest.mark.parametrize("window", [("-100000", "3"), ("-6", "3"), ("1", "10")])
+def test_chromatic_refuses_wide_window(capsys, window):
+    # more than r + 6 = 9 indices; the brute force alone would never end
+    code, doc = run_json(capsys, "chromatic", "ENEENENEE@3,3", "--window", *window)
+    assert code == 2 and doc["status"] == "error"
+    assert "> r + 6 indices without --force" in doc["payload"]["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qsym", "ENE@1,1", "--m", "6"],
+        ["backstable", "ENE@1,1", "--m", "6"],
+        ["sweep", "corollary", "1", "1", "--m", "6", "--threads", "1"],
+        ["chromatic", "ENEENENEE@3,3", "--window", "-5", "3"],
+        ["chromatic", "ENEENENEE@3,3"],
+        ["backstable", "ENEENENEE@3,3"],
+        ["sweep", "corollary", "3", "1", "--threads", "1"],
+    ],
+)
+def test_accepts_m_and_window_at_the_bound(capsys, argv):
+    # --m 6, r + 6 window indices and every default window run
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qsym", "ENE@1,1", "--m", "7"],
+        ["backstable", "ENE@1,1", "--m", "7"],
+        ["sweep", "corollary", "1", "1", "--m", "7", "--threads", "1"],
+        ["chromatic", "ENE@1,1", "--window", "-7", "1"],
+    ],
+)
+def test_force_allows_wide_m_and_window(capsys, argv):
+    code, doc = run_json(capsys, *argv, "--force")
+    assert code == 0 and doc["status"] == "ok"
+
+
 def test_backstable(capsys):
     code, doc = run_json(capsys, "backstable", "ENEENENEE@3,3", "--m", "1")
     assert code == 0 and doc["payload"]["equal"] is True

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -207,6 +208,21 @@ def test_window_empty_allowed():
 def test_window_invalid():
     with pytest.raises(ValueError):
         Window(3, 1)
+
+
+def test_supported_in_matches_support_definition():
+    # every composition of weight <= 4 on [-2, 4], every window inside
+    # [-3, 5], empty windows (lo = hi + 1) included
+    comps = [
+        WeakComposition(entries, -2)
+        for entries in itertools.product(range(5), repeat=7)
+        if sum(entries) <= 4
+    ]
+    windows = [Window(lo, hi) for lo in range(-3, 6) for hi in range(lo - 1, 6)]
+    for a in comps:
+        for w in windows:
+            assert a.supported_in(w) == all(w.contains(i) for i in a.support()), (a, w)
+    assert len(comps) == 330 and len(windows) == 54
 
 
 # ---------------------------------------------------------------- properties

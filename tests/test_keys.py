@@ -24,6 +24,7 @@ from slidechrom import (
     slide_polynomial,
 )
 from slidechrom import keys
+from slidechrom.chromatic import slide_expansion
 from slidechrom.tpoly import ExpansionError, combine
 
 
@@ -205,6 +206,10 @@ def test_keys_are_slide_positive():
             exp = expand_in_slides(kappa, w)
             assert exp and all(tc.keys() == {0} and tc[0] > 0 for tc in exp.values())
             assert combine(exp, lambda b: slide_polynomial(b, w).terms.items()) == kappa.terms
+            # the key-to-slide row key_expansion_of_chromatic peels with,
+            # built on [1, len(b)], is the same expansion
+            row = keys._key_slide_row(keys._trim(entries))
+            assert {wc(a): {0: c} for a, c in row} == exp
             checked += 1
     assert checked == 456
 
@@ -233,8 +238,44 @@ def test_shared_slide_key_cache_matches_fresh_caches():
     cache: dict = {}
     shared = [key_expansion_of_chromatic(p, cache) for p in paths]
     assert shared == [key_expansion_of_chromatic(p) for p in paths]
-    # one row per weak composition of 5 on [1, 5]: C(9, 4)
+    # one key-to-slide row per key index, a weak composition of 5 on
+    # [1, 5]: at most C(9, 4), and every one of them is reached
     assert len(cache) == 126
+
+
+def test_key_expansion_matches_slide_to_key_rows():
+    # oracle: expand each slide polynomial of the slide expansion in keys
+    # on its own and sum the rows
+    rows: dict = {}
+
+    def slide_to_key(a):
+        if a not in rows:
+            rows[a] = expand_in_keys(slide_polynomial(a, Window(1, a.hi)), a.hi)
+        return rows[a].items()
+
+    paths = list(scan_paths(5, 5)) + list(scan_paths(6, 6))[::7]
+    cache: dict = {}
+    for p in paths:
+        want = combine(slide_expansion(p, lo=1), slide_to_key)
+        assert key_expansion_of_chromatic(p, cache) == want, p.literal
+    assert len(paths) == 3682 + 3342
+
+
+@pytest.mark.parametrize(
+    "b, corrupt, msg",
+    [
+        # leading coefficient 2: the slide of (1, 1, 1) is never cleared
+        ((1, 1, 1), lambda row: tuple((a, 2 if a == (1, 1, 1) else c) for a, c in row), "remainder"),
+        # a slide of smaller grade than the key: (1, 1, 1) comes back
+        ((2, 0, 1), lambda row: row + (((1, 1, 1), 1),), "peeled twice"),
+    ],
+)
+def test_corrupted_key_slide_row_raises(monkeypatch, b, corrupt, msg):
+    # ENEENENEE@3,3 peels kappa(1,1,1), then kappa(2,0,1)
+    real = keys._key_slide_row
+    monkeypatch.setattr(keys, "_key_slide_row", lambda v: corrupt(real(v)) if v == b else real(v))
+    with pytest.raises(ExpansionError, match=msg):
+        key_expansion_of_chromatic(PartialDyckPath.parse("ENEENENEE@3,3"))
 
 
 def test_is_key_positive():
@@ -269,6 +310,22 @@ def test_key_expansion_reconstructs_chromatic():
 
 def test_no_negatives_tiny():
     assert search_negative_records(2, 2) == []
+
+
+def test_small_census():
+    # every path with n <= 5 and r <= 5, and n = 6 with r <= 4
+    found = [rec for n in range(6) for rec in search_negative_records(n, 5)]
+    assert found == [
+        NegativeRecord("EENEENENEENEE@4,5", wc([1, 2, 0, 1]), ((2, -1),)),
+        NegativeRecord("EENEENENEENEENE@5,5", wc([1, 3, 0, 1]), ((2, -1),)),
+    ]
+    assert search_negative_records(6, 4) == []
+    for rec in found:
+        p = PartialDyckPath.parse(rec.path)
+        w = Window(1, p.r)
+        exp = key_expansion_of_chromatic(p)
+        total = combine(exp, lambda b: key_polynomial(b, p.r).terms.items())
+        assert total == chromatic_brute(p, w).terms, rec.path
 
 
 # ----------------------------------------------------------------- fixtures
