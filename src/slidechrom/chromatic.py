@@ -88,8 +88,9 @@ def slide_expansion(
     coefficient of t^d sits at bit slot * d (see _t_slot), so adding
     t^k times a coefficient is a shift and merging two states is one
     addition.  Each closed block is a field (index + n - 1, size), and
-    the field of the front block sits in the lowest bits.  Both are
-    unpacked once per distinct index at the end.
+    the field of the front block sits in the lowest bits; it is packed
+    only when a block closes.  Both are unpacked once per distinct index
+    at the end, where the block indices are checked to increase strictly.
 
     With lo given, only the indices whose blocks all sit at lo or above
     are computed.  Bounds never increase as pi grows, so a state whose
@@ -97,13 +98,13 @@ def slide_expansion(
     caps the bound at rho(u), so one rho(u) < lo leaves nothing; otherwise
     only a block close from a state at bound lo goes below it.
     """
-    graph = dyck_graph(path)
     rho = restriction_map(path)
-    n = graph.n
+    n = path.n
     if n == 0:
         return {WeakComposition(): {0: 1}}
     if lo is not None and min(rho) < lo:
         return {}
+    graph = dyck_graph(path)
     above = [0] * n  # above[v]: bitmask of the vertices over v in the poset
     lower_nbrs = [0] * n  # lower_nbrs[u]: bitmask of u's smaller neighbours
     for a, b in incomparability_poset(graph).less:
@@ -121,17 +122,14 @@ def slide_expansion(
     size_mask = (1 << size_bits) - 1
     block_mask = (1 << block_bits) - 1
 
-    def close(index: int, size: int, closed: int) -> int:
-        if closed and index + off >= (closed & block_mask) >> size_bits:
-            indices = [index] + [i for i, _ in unpack_blocks(closed)]
-            raise RuntimeError(f"block indices {indices} not strictly increasing")
-        return (closed << block_bits) | ((index + off) << size_bits) | size
-
     def unpack_blocks(closed: int) -> list[tuple[int, int]]:
         blocks = []
         while closed:
             blocks.append((((closed & block_mask) >> size_bits) - off, closed & size_mask))
             closed >>= block_bits
+        indices = [i for i, _ in blocks]
+        if any(b <= a for a, b in zip(indices, indices[1:])):
+            raise RuntimeError(f"block indices {indices} not strictly increasing")
         return blocks
 
     # vertex v + 1 is bit v; the front vertex is v
@@ -140,7 +138,6 @@ def slide_expansion(
         nxt: dict[tuple, int] = {}
         get = nxt.get
         for (mask, v, bound, size, closed), tc in layer.items():
-            closed_now = close(bound, size, closed)
             up = above[v]
             free = full & ~mask
             if lo is not None and bound <= lo:
@@ -153,13 +150,14 @@ def slide_expansion(
                 if up & bit:
                     key = (mask | bit, u, bound if bound < cap else cap, size + 1, closed)
                 else:
+                    closed_now = (closed << block_bits) | ((bound + off) << size_bits) | size
                     key = (mask | bit, u, bound - 1 if bound <= cap else cap, 1, closed_now)
                 moved = tc << slot * (mask & lower_nbrs[u]).bit_count()
                 nxt[key] = get(key, 0) + moved
         layer = nxt
     packed: dict[int, int] = {}
     for (_, _, bound, size, closed), tc in layer.items():
-        closed = close(bound, size, closed)
+        closed = (closed << block_bits) | ((bound + off) << size_bits) | size
         packed[closed] = packed.get(closed, 0) + tc
     return {
         WeakComposition.from_items(unpack_blocks(closed)): _t_unpack(tc, slot)

@@ -74,22 +74,26 @@ def _check_m(m: int | None) -> None:
 
 def _refusal(args) -> CommandResult | None:
     """The error result for a run too large to start without --force,
-    checked before every command that has the option.  Past six vertices
-    a command's work outgrows an interactive run: rdes lists n!
-    permutations, the brute force walks up to r^n colorings, the subset
-    DP up to 2^n placed-vertex sets, and sweep repeats that per path.
-    Every extra color column multiplies the brute force too, so --m
-    above 6 and a --window of more than r + 6 indices are refused as
-    well; the default windows never are."""
-    if getattr(args, "force", True):
+    checked before every command that has the option; slides checks its
+    window itself, once the file is read."""
+    if getattr(args, "force", True) or args.command == "slides":
         return None
     if args.command == "sweep":
         n, r = args.n, args.r
     else:
         path = PartialDyckPath.parse(args.path)
         n, r = path.n, path.r
-    m = getattr(args, "m", None)
-    window = getattr(args, "window", None)
+    return _size_refusal(n, r, getattr(args, "m", None), getattr(args, "window", None))
+
+
+def _size_refusal(n: int, r: int, m: int | None, window) -> CommandResult | None:
+    """Past six vertices a command's work outgrows an interactive run:
+    rdes lists n! permutations, the brute force walks up to r^n
+    colorings, the subset DP up to 2^n placed-vertex sets, and sweep
+    repeats that per path.  Every extra color column multiplies the brute
+    force and the slide sets too, so --m above 6 and a window of more
+    than r + 6 indices are refused as well; the default windows never
+    are."""
     if n > 6:
         msg = f"refusing n={n} > 6 without --force"
     elif m is not None and m > 6:
@@ -171,6 +175,10 @@ def cmd_slides(args) -> CommandResult:
     raw = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
     poly = TPolynomial.loads(raw)
     w = _window(args, poly.window)
+    # the polynomial has no path, so r is taken to be the window's hi
+    refused = None if args.force else _size_refusal(0, w.hi, None, w)
+    if refused:
+        return refused
     if w != poly.window:
         poly = poly.with_window(w)
     exp = expand_in_slides(poly, w)
@@ -419,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slides", help="expand a polynomial file in slide polynomials")
     p.add_argument("file", help="polynomial JSON file, or - for stdin")
     add_window(p)
+    add_force(p)
     p.set_defaults(func=cmd_slides)
 
     p = sub.add_parser("rdes", help="per-permutation descent composition table")

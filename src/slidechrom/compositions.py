@@ -43,18 +43,18 @@ class Window(_WindowBase):
 
 
 def _canonical(entries: Iterable[int], lo: int) -> tuple[int, tuple[int, ...]]:
-    ent = list(entries)
+    ent = tuple(entries)
     for v in ent:
         if v < 0:
             raise ValueError("weak composition entries must be >= 0")
-    while ent and ent[0] == 0:
-        ent.pop(0)
-        lo += 1
-    while ent and ent[-1] == 0:
-        ent.pop()
-    if not ent:
+    start, end = 0, len(ent)
+    while end and ent[end - 1] == 0:
+        end -= 1
+    if not end:
         return 1, ()
-    return lo, tuple(ent)
+    while ent[start] == 0:
+        start += 1
+    return lo + start, ent[start:end]
 
 
 class WeakComposition:
@@ -234,20 +234,25 @@ def slide_set(a: WeakComposition, w: Window) -> set[WeakComposition]:
     entries: list[int] = []  # b from w.lo on, built depth first
 
     def walk(j: int, left: int, placed: int):
-        # the next entry takes units of part j of flatten(a), of which left
-        # remain, and keeps b's prefix sum at or above a's
+        # the next nonzero entry, at some k after a run of zeros, takes
+        # units of part j of flatten(a), of which left remain; every entry
+        # keeps b's prefix sum at or above a's.  Each call places at least
+        # one unit, so the depth is bounded by the weight of a.
         i = len(entries)
-        if i == len(prefix):
-            return
-        for v in range(max(0, prefix[i] - placed), left + 1):
-            entries.append(v)
-            if v < left:
-                walk(j, left - v, placed + v)
-            elif j + 1 < len(parts):
-                walk(j + 1, parts[j + 1], placed + v)
-            else:
-                out.add(WeakComposition(entries, w.lo))
-            entries.pop()
+        for k in range(i, len(prefix)):
+            for v in range(max(1, prefix[k] - placed), left + 1):
+                entries.append(v)
+                if v < left:
+                    walk(j, left - v, placed + v)
+                elif j + 1 < len(parts):
+                    walk(j + 1, parts[j + 1], placed + v)
+                else:
+                    out.add(WeakComposition(entries, w.lo))
+                entries.pop()
+            if prefix[k] > placed:
+                break  # a zero at k would leave b's prefix sum below a's
+            entries.append(0)
+        del entries[i:]
 
     walk(0, parts[0], 0)
     return out

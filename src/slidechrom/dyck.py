@@ -162,23 +162,36 @@ def restriction_map(path: PartialDyckPath) -> tuple[int, ...]:
 
 
 def enumerate_paths(n: int, r: int) -> Iterator[PartialDyckPath]:
-    """All of P(n, r) in lexicographic step-word order with E < N."""
+    """All of P(n, r) in lexicographic step-word order with E < N.
+
+    The walk is iterative, so the word length is not bounded by the
+    recursion limit.  Each word is completed greedily, E wherever one is
+    allowed (the step stays at or above the line y = x + 1), and the next
+    word changes the last E that can become an N and completes again.
+    """
     _check_size(n, r)
-
-    def rec(word: list[str], x: int, y: int, e_left: int, n_left: int):
-        if e_left == 0 and n_left == 0:
-            yield PartialDyckPath("".join(word), n, r)
+    word: list[str] = []
+    x, y, top = 0, r, n + r  # the walk ends at (top, top)
+    while True:
+        while len(word) < top + n:
+            if x < top and y > x:
+                word.append("E")
+                x += 1
+            else:
+                word.append("N")
+                y += 1
+        yield PartialDyckPath("".join(word), n, r)
+        while word:
+            if word.pop() == "N":
+                y -= 1
+                continue
+            x -= 1
+            if y < top:
+                word.append("N")
+                y += 1
+                break
+        else:
             return
-        if e_left and y >= x + 1:
-            word.append("E")
-            yield from rec(word, x + 1, y, e_left - 1, n_left)
-            word.pop()
-        if n_left:
-            word.append("N")
-            yield from rec(word, x, y + 1, e_left, n_left - 1)
-            word.pop()
-
-    yield from rec([], 0, r, n + r, n)
 
 
 def scan_paths(n: int, r_max: int) -> Iterator[PartialDyckPath]:

@@ -20,10 +20,11 @@ class LabeledPoset:
     """Strict partial order on 1..n, optionally carrying a bijective
     labeling omega and per-vertex upper bounds rho."""
 
-    __slots__ = ("n", "less", "omega", "rho", "_covers")
+    __slots__ = ("n", "less", "omega", "rho")
 
     def __init__(self, n, less, omega=None, rho=None):
         rel = frozenset((int(a), int(b)) for a, b in less)
+        above = [set() for _ in range(n + 1)]  # above[a]: every b with a < b
         for a, b in rel:
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"relation ({a},{b}) outside 1..{n}")
@@ -31,12 +32,14 @@ class LabeledPoset:
                 raise ValueError(f"reflexive pair ({a},{b})")
             if (b, a) in rel:
                 raise ValueError(f"antisymmetry fails on ({a},{b})")
+            above[a].add(b)
         for a, b in rel:
-            for c, d in rel:
-                if b == c and (a, d) not in rel:
-                    raise ValueError(
-                        f"relation not transitive: ({a},{b}),({b},{d}) without ({a},{d})"
-                    )
+            missing = above[b] - above[a]
+            if missing:
+                d = min(missing)
+                raise ValueError(
+                    f"relation not transitive: ({a},{b}),({b},{d}) without ({a},{d})"
+                )
         if omega is not None:
             omega = tuple(omega)
             if sorted(omega) != list(range(1, n + 1)):
@@ -49,7 +52,6 @@ class LabeledPoset:
         object.__setattr__(self, "less", rel)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "_covers", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledPoset is immutable")
@@ -74,21 +76,6 @@ class LabeledPoset:
     def is_less(self, a: int, b: int) -> bool:
         return (a, b) in self.less
 
-    def covers(self) -> frozenset:
-        """Pairs (a, b) with a covered by b."""
-        cached = self._covers
-        if cached is None:
-            cached = frozenset(
-                (a, b)
-                for a, b in self.less
-                if not any(
-                    (a, c) in self.less and (c, b) in self.less
-                    for c in range(1, self.n + 1)
-                )
-            )
-            object.__setattr__(self, "_covers", cached)
-        return cached
-
     def __eq__(self, other):
         if not isinstance(other, LabeledPoset):
             return NotImplemented
@@ -101,7 +88,7 @@ class LabeledPoset:
 
     def __repr__(self):
         return (
-            f"LabeledPoset(n={self.n}, covers={sorted(self.covers())},"
+            f"LabeledPoset(n={self.n}, less={sorted(self.less)},"
             f" omega={self.omega}, rho={self.rho})"
         )
 
@@ -339,64 +326,46 @@ def descent_composition_by_labels(
     )
 
 
-def linear_extensions(poset: LabeledPoset) -> Iterator[tuple[int, ...]]:
-    """All linear extensions, lexicographically by the emitted tuple."""
-    n = poset.n
-
-    def rec(remaining: set[int], acc: list[int]):
-        if not remaining:
-            yield tuple(acc)
-            return
-        for v in sorted(remaining):
-            if all(not poset.is_less(u, v) for u in remaining if u != v):
-                acc.append(v)
-                yield from rec(remaining - {v}, acc)
-                acc.pop()
-
-    yield from rec(set(range(1, n + 1)), [])
-
-
-def restricted_partitions(
-    poset: LabeledPoset, w: Window
-) -> Iterator[tuple[int, ...]]:
-    """All maps f on 1..n with w.lo <= f(v) <= min(rho(v), w.hi), weakly
-    increasing up covers labeled upward by omega and strictly increasing
-    up the rest."""
-    if poset.omega is None or poset.rho is None:
-        raise ValueError("poset needs omega and rho labels")
-    n = poset.n
-    omega, rho = poset.omega, poset.rho
-    order = next(linear_extensions(poset), None)
-    if order is None:
-        raise RuntimeError("poset has no linear extension")
-    cov = poset.covers()
-    below = {v: [a for a, b in cov if b == v] for v in range(1, n + 1)}
-    f = [0] * (n + 1)
-
-    def rec(k: int):
-        if k == n:
-            yield tuple(f[1:])
-            return
-        v = order[k]
-        lo = w.lo
-        for u in below[v]:
-            need = f[u] if omega[u - 1] < omega[v - 1] else f[u] + 1
-            lo = max(lo, need)
-        hi = min(rho[v - 1], w.hi)
-        for val in range(lo, hi + 1):
-            f[v] = val
-            yield from rec(k + 1)
-
-    yield from rec(0)
-
-
 def partition_generating_function(
     poset: LabeledPoset, w: Window
 ) -> TPolynomial:
-    """Sum of x_{f(1)}...x_{f(n)} over restricted partitions of the poset."""
-    terms: dict[WeakComposition, dict[int, int]] = {}
-    for f in restricted_partitions(poset, w):
-        e = WeakComposition.from_values(f)
-        tc = terms.setdefault(e, {})
-        tc[0] = tc.get(0, 0) + 1
-    return TPolynomial(w, terms)
+    """Sum of x_{f(1)}...x_{f(n)} over the (P, rho)-partitions f: the maps
+    with w.lo <= f(v) <= min(rho(v), w.hi) and f(u) <= f(v) whenever
+    u < v, strictly when omega(u) > omega(v).
+
+    Requiring this on every relation rather than on covers only gives the
+    same maps, since omega descends somewhere along any saturated chain
+    from u up to such a v.  The walk colors the vertices in order of the
+    size of their down-sets, which is a linear extension, and keeps the
+    color counts in one list; one WeakComposition is built per distinct
+    exponent at the end.
+    """
+    if poset.omega is None or poset.rho is None:
+        raise ValueError("poset needs omega and rho labels")
+    n, omega, rho = poset.n, poset.omega, poset.rho
+    below: list[list[tuple[int, bool]]] = [[] for _ in range(n + 1)]
+    for u, v in poset.less:
+        below[v].append((u, omega[u - 1] > omega[v - 1]))
+    order = sorted(range(1, n + 1), key=lambda v: len(below[v]))
+    found: dict[tuple[int, ...], int] = {}
+    f = [0] * (n + 1)
+    counts = [0] * (w.hi - w.lo + 1)  # counts[c - w.lo]: vertices colored c
+
+    def rec(k: int):
+        if k == n:
+            e = tuple(counts)
+            found[e] = found.get(e, 0) + 1
+            return
+        v = order[k]
+        least = w.lo
+        for u, strict in below[v]:
+            if f[u] + strict > least:
+                least = f[u] + strict
+        for c in range(least, min(rho[v - 1], w.hi) + 1):
+            f[v] = c
+            counts[c - w.lo] += 1
+            rec(k + 1)
+            counts[c - w.lo] -= 1
+
+    rec(0)
+    return TPolynomial(w, {WeakComposition(e, w.lo): {0: m} for e, m in found.items()})

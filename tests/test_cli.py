@@ -181,8 +181,8 @@ def test_force_leaves_six_vertices_unchanged(capsys, command):
     ],
 )
 def test_refuses_wide_m(capsys, argv, m):
-    # a slide set's walk recurses once per window index, so --m 3000
-    # would crash it; refused before any work
+    # every extra column widens the brute force and the slide sets;
+    # refused before any work
     code, doc = run_json(capsys, *argv, "--m", str(m))
     assert code == 2 and doc["status"] == "error"
     assert doc["payload"] == {"error": f"refusing --m {m} > 6 without --force"}
@@ -226,6 +226,45 @@ def test_accepts_m_and_window_at_the_bound(capsys, argv):
 def test_force_allows_wide_m_and_window(capsys, argv):
     code, doc = run_json(capsys, *argv, "--force")
     assert code == 0 and doc["status"] == "ok"
+
+
+def test_force_allows_a_window_deeper_than_the_recursion_limit(capsys):
+    # the slide sets of [-1499, 1] are walked with a depth bounded by the weight
+    argv = ("qsym", "ENE@1,1", "--m", "1500")
+    assert run_json(capsys, *argv)[0] == 2
+    code, doc = run_json(capsys, *argv, "--force")
+    assert code == 0 and doc["payload"]["verified"] is True
+
+
+def _x1_file(tmp_path, lo):
+    fp = tmp_path / "x1.json"
+    x1 = {"exp": {"lo": 1, "entries": [1]}, "t": [{"deg": 0, "coef": "1"}]}
+    fp.write_text(json.dumps({"window": [lo, 3], "terms": [x1]}))
+    return str(fp)
+
+
+@pytest.mark.parametrize(
+    "lo, window",
+    [(-1500, ()), (1, ("--window", "-1500", "3")), (-6, ()), (1, ("--window", "-6", "3"))],
+)
+def test_slides_refuses_wide_window(tmp_path, capsys, lo, window):
+    # r is taken to be the window's hi, so r + 6 indices reach down to -5
+    fp = _x1_file(tmp_path, lo)
+    code, doc = run_json(capsys, "slides", fp, *window)
+    assert code == 2 and doc["status"] == "error"
+    assert "> r + 6 indices without --force" in doc["payload"]["error"]
+    code, doc = run_json(capsys, "slides", fp, *window, "--force")
+    assert code == 0 and doc["status"] == "ok"
+    # x_1 = S(1 at 1) - S(1 at 0) on any window reaching below 1
+    assert [(e["index"]["lo"], e["t"][0]["coef"]) for e in doc["payload"]["expansion"]] == [
+        (0, "-1"),
+        (1, "1"),
+    ]
+
+
+def test_slides_accepts_window_at_the_bound(tmp_path, capsys):
+    code, doc = run_json(capsys, "slides", _x1_file(tmp_path, -5))
+    assert code == 0 and doc["payload"]["window"] == [-5, 3]
 
 
 def test_backstable(capsys):
@@ -283,6 +322,14 @@ def test_paths_list(capsys):
     lits = doc["payload"]["paths"]
     assert len(lits) == doc["payload"]["count"]
     assert all(lit.endswith("@2,1") for lit in lits)
+
+
+def test_paths_list_longer_than_the_recursion_limit(capsys):
+    code, doc = run_json(capsys, "paths", "1", "1500", "--list")
+    lits = doc["payload"]["paths"]
+    assert code == 0 and len(lits) == doc["payload"]["count"] == 1501
+    assert lits[0] == "E" * 1500 + "NE@1,1500"
+    assert lits[-1] == "N" + "E" * 1501 + "@1,1500"
 
 
 @pytest.mark.parametrize("n, r", [("-1", "2"), ("2", "-1")])

@@ -77,3 +77,12 @@ def test_every_definition_is_referenced():
         if referenced[node.name] == list(_references(node)).count(node.name)
     )
     assert not unreferenced, f"definitions nothing references: {unreferenced}"
+
+
+def test_poset_oracle_stays_independent_of_the_engine():
+    # posets.py is the oracle the subset DP, the slide sets and the peel
+    # are checked against, so it may not reach any of them
+    path = PACKAGE / "posets.py"
+    names = set(_references(ast.parse(path.read_text(), filename=str(path))))
+    engine = {"slide_expansion", "slide_set", "peel", "combine"}
+    assert not names & engine, f"posets.py uses engine names: {sorted(names & engine)}"

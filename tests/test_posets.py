@@ -1,23 +1,26 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from slidechrom import (
     LabeledPoset,
     PartialDyckPath,
+    TPolynomial,
     WeakComposition,
     Window,
     acyclic_orientations,
     descent_composition,
     descent_composition_by_labels,
     dyck_graph,
+    enumerate_paths,
     graph_inversions,
     incomparability_poset,
-    linear_extensions,
     omega_labeling,
     orientation_from_perm,
     partition_generating_function,
     poset_descents,
+    poset_of_orientation,
     restriction_map,
     slide_polynomial,
     tightened_bounds,
@@ -38,6 +41,9 @@ def test_poset_validation():
         LabeledPoset(3, frozenset({(1, 2), (2, 1)}))  # antisymmetric
     with pytest.raises(ValueError):
         LabeledPoset(3, frozenset({(1, 2), (2, 3)}))  # transitive closure missing
+    with pytest.raises(ValueError, match=r"without \(1,4\)"):
+        # 1 < 2 < 4 and 1 < 3 < 4, but not 1 < 4
+        LabeledPoset(4, frozenset({(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)}))
 
 
 def test_incomparability_poset():
@@ -51,12 +57,6 @@ def test_incomparability_poset():
 def test_chain_poset():
     C = LabeledPoset.chain((2, 1, 3))
     assert C.is_less(2, 1) and C.is_less(1, 3) and C.is_less(2, 3)
-    assert list(linear_extensions(C)) == [(2, 1, 3)]
-
-
-def test_covers():
-    C = LabeledPoset.chain((1, 2, 3))
-    assert set(C.covers()) == {(1, 2), (2, 3)}
 
 
 # ------------------------------------------------------------ orientations
@@ -159,14 +159,6 @@ def test_two_descent_forms_agree():
 # --------------------------------------------------------------- partitions
 
 
-def test_linear_extensions_count():
-    # poset with relations 3<2, 1<2 has extensions 134...: on {1,2,3}: 1,3 then 2
-    P = LabeledPoset(3, frozenset({(3, 2), (1, 2)}))
-    exts = list(linear_extensions(P))
-    assert len(exts) == 2
-    assert set(exts) == {(1, 3, 2), (3, 1, 2)}
-
-
 def test_partition_gf_chain_worked():
     pi = (1, 2, 3, 4, 5)
     omega = (2, 3, 1, 5, 4)
@@ -192,3 +184,46 @@ def test_partition_gf_respects_rho():
     gf = partition_generating_function(P, Window(1, 3))
     names = sorted(str(e) for e in gf.terms)
     assert names == ["0,1", "1"]
+
+
+def _partition_gf_by_covers(P, w):
+    # every map into the window, kept when f(v) <= rho(v) and f rises up
+    # each cover u < v, strictly when omega(u) > omega(v)
+    covers = [
+        (a, b)
+        for a, b in P.less
+        if not any((a, c) in P.less and (c, b) in P.less for c in range(1, P.n + 1))
+    ]
+    found = Counter()
+    for f in itertools.product(w.indices(), repeat=P.n):
+        if any(f[v - 1] > P.rho[v - 1] for v in range(1, P.n + 1)):
+            continue
+        if any(
+            f[a - 1] > f[b - 1]
+            or (f[a - 1] == f[b - 1] and P.omega[a - 1] > P.omega[b - 1])
+            for a, b in covers
+        ):
+            continue
+        found[WeakComposition.from_values(f)] += 1
+    return TPolynomial(w, {e: {0: m} for e, m in found.items()})
+
+
+def test_partition_gf_matches_cover_definition():
+    # the walk over all relations against a filter over every map, on the
+    # acyclic-orientation posets of the paths with n <= 4 and r <= 2
+    cases = 0
+    for n in range(0, 5):
+        for r in range(0, 3):
+            for p in enumerate_paths(n, r):
+                g = dyck_graph(p)
+                rho = restriction_map(p)
+                for o in acyclic_orientations(g):
+                    P = poset_of_orientation(o).with_labels(
+                        omega=omega_labeling(g, o), rho=rho
+                    )
+                    for w in (Window(1, r), Window(-1, r)):
+                        assert partition_generating_function(P, w) == (
+                            _partition_gf_by_covers(P, w)
+                        ), (p.literal, sorted(o.arcs), w)
+                        cases += 1
+    assert cases == 3274
