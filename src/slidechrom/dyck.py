@@ -14,7 +14,8 @@ import math
 import re
 from typing import Iterator
 
-_LITERAL = re.compile(r"^([NE]*)@(\d+),(\d+)$")
+# ASCII digits only: \d would also read other scripts' digits
+_LITERAL = re.compile(r"^([NE]*)@([0-9]+),([0-9]+)$")
 
 
 class PartialDyckPath:

@@ -2,14 +2,15 @@
 machinery that turns a linear order with color bounds into a slide index.
 
 Vertices are 1..n throughout.  A strict order is stored as a frozenset of
-pairs (a, b) meaning a < b in the poset.  Permutations are tuples pi with
+pairs (a, b) meaning a < b in the poset, and an acyclic orientation as the
+frozenset of its arcs (a, b) meaning a -> b.  Permutations are tuples pi with
 pi[k] = image of position k+1.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .compositions import WeakComposition, Window
 from .dyck import DyckGraph
@@ -65,14 +66,6 @@ class LabeledPoset:
         }
         return cls(n, less, omega, rho)
 
-    def with_labels(self, omega=None, rho=None) -> "LabeledPoset":
-        return LabeledPoset(
-            self.n,
-            self.less,
-            omega if omega is not None else self.omega,
-            rho if rho is not None else self.rho,
-        )
-
     def is_less(self, a: int, b: int) -> bool:
         return (a, b) in self.less
 
@@ -109,125 +102,70 @@ def incomparability_poset(graph: DyckGraph) -> LabeledPoset:
     return LabeledPoset(n, less)
 
 
-class Orientation:
-    """Acyclic orientation of a graph; arcs point from larger-color to
-    smaller-color endpoints in every compatible coloring."""
+def orientation_from_perm(graph: DyckGraph, pi: Sequence[int]) -> frozenset:
+    """Direct every edge from its later-in-pi endpoint to the earlier one.
 
-    __slots__ = ("graph", "arcs")
-
-    def __init__(self, graph: DyckGraph, arcs):
-        arcset = frozenset((int(a), int(b)) for a, b in arcs)
-        seen = set()
-        for a, b in arcset:
-            e = (min(a, b), max(a, b))
-            if e not in graph.edges:
-                raise ValueError(f"arc ({a},{b}) is not an edge")
-            if e in seen:
-                raise ValueError(f"edge {e} oriented twice")
-            seen.add(e)
-        if seen != set(graph.edges):
-            raise ValueError("every edge needs exactly one direction")
-        order = _topological_order(graph.n, arcset)
-        if order is None:
-            raise ValueError("orientation has a directed cycle")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "arcs", arcset)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Orientation is immutable")
-
-    def ascent_arcs(self) -> int:
-        """Arcs (a, b) with a < b: descents forced on compatible colorings."""
-        return sum(1 for a, b in self.arcs if a < b)
-
-    def __eq__(self, other):
-        if not isinstance(other, Orientation):
-            return NotImplemented
-        return self.graph == other.graph and self.arcs == other.arcs
-
-    def __hash__(self):
-        return hash((self.graph, self.arcs))
-
-    def __repr__(self):
-        return f"Orientation(arcs={sorted(self.arcs)})"
-
-
-def _topological_order(n: int, arcs) -> list[int] | None:
-    indeg = {v: 0 for v in range(1, n + 1)}
-    for a, b in arcs:
-        indeg[b] += 1
-    ready = [v for v in range(1, n + 1) if indeg[v] == 0]
-    out = []
-    while ready:
-        v = ready.pop()
-        out.append(v)
-        for a, b in arcs:
-            if a == v:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    ready.append(b)
-    return out if len(out) == n else None
-
-
-def orientation_from_perm(graph: DyckGraph, pi: Sequence[int]) -> Orientation:
-    """Direct every edge from its later-in-pi endpoint to the earlier one."""
+    pi read backwards is a linear extension of the arcs, so the arc set
+    is acyclic by construction and needs no check.
+    """
     pos = {v: k for k, v in enumerate(pi)}
-    arcs = []
-    for i, j in graph.edges:
-        if pos[i] > pos[j]:
-            arcs.append((i, j))
-        else:
-            arcs.append((j, i))
-    return Orientation(graph, arcs)
+    return frozenset(
+        (i, j) if pos[i] > pos[j] else (j, i) for i, j in graph.edges
+    )
 
 
-def acyclic_orientations(graph: DyckGraph) -> Iterator[Orientation]:
-    edges = graph.sorted_edges()
-    for choice in itertools.product((0, 1), repeat=len(edges)):
-        arcs = [
-            (i, j) if c else (j, i) for (i, j), c in zip(edges, choice)
-        ]
-        if _topological_order(graph.n, arcs) is not None:
-            yield Orientation(graph, arcs)
+def acyclic_orientations(graph: DyckGraph) -> list[frozenset]:
+    """The distinct arc sets that the n! permutations induce, sorted.
+
+    Every acyclic orientation has a linear extension, so these are
+    exactly the acyclic orientations of the graph.
+    """
+    found = {
+        orientation_from_perm(graph, pi)
+        for pi in itertools.permutations(range(1, graph.n + 1))
+    }
+    return sorted(found, key=sorted)
 
 
-def omega_labeling(graph: DyckGraph, o: Orientation) -> tuple[int, ...]:
+def omega_labeling(graph: DyckGraph, o: frozenset) -> tuple[int, ...]:
     """Label sources first, always the largest-numbered available vertex.
 
     Produces omega with: for every arc a -> b, omega(b) > omega(a); and
     the labeling is the one induced by any permutation yielding o.
     """
     n = graph.n
-    remaining = set(range(1, n + 1))
-    indeg = {v: 0 for v in remaining}
-    for a, b in o.arcs:
+    indeg = [0] * (n + 1)
+    out: list[list[int]] = [[] for _ in range(n + 1)]
+    for a, b in o:
         indeg[b] += 1
+        out[a].append(b)
+    remaining = set(range(1, n + 1))
     omega = [0] * n
-    ctr = 1
-    while remaining:
+    for label in range(1, n + 1):
         v = max(u for u in remaining if indeg[u] == 0)
-        omega[v - 1] = ctr
-        ctr += 1
+        omega[v - 1] = label
         remaining.discard(v)
-        for a, b in o.arcs:
-            if a == v and b in remaining:
-                indeg[b] -= 1
+        for b in out[v]:
+            indeg[b] -= 1
     return tuple(omega)
 
 
-def poset_of_orientation(o: Orientation) -> LabeledPoset:
-    """Transitive closure with b < a for every arc a -> b."""
-    n = o.graph.n
-    less = {(b, a) for a, b in o.arcs}
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(less):
-            for u, v in list(less):
-                if y == u and (x, v) not in less:
-                    less.add((x, v))
-                    changed = True
-    return LabeledPoset(n, less)
+def poset_of_orientation(
+    graph: DyckGraph, o: frozenset, rho: Sequence[int]
+) -> LabeledPoset:
+    """b < a for every arc a -> b, closed under transitivity with one
+    pass per middle vertex (Warshall), labeled by omega_labeling and
+    bounded by rho."""
+    n = graph.n
+    above: list[set[int]] = [set() for _ in range(n + 1)]  # above[x]: every y with x < y
+    for a, b in o:
+        above[b].add(a)
+    for k in range(1, n + 1):
+        for x in range(1, n + 1):
+            if k in above[x]:
+                above[x] |= above[k]
+    less = {(x, y) for x in range(1, n + 1) for y in above[x]}
+    return LabeledPoset(n, less, omega_labeling(graph, o), rho)
 
 
 def graph_inversions(graph: DyckGraph, pi: Sequence[int]) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import re
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 from .compositions import WeakComposition, Window, lex_key
@@ -20,6 +21,9 @@ from .compositions import WeakComposition, Window, lex_key
 TCoeff = dict  # {int: int}, no zero values stored
 E = TypeVar("E", bound=Hashable)
 K = TypeVar("K", bound=Hashable)
+
+# a coefficient string as t_to_json writes it
+_is_decimal = re.compile(r"-?[0-9]+").fullmatch
 
 
 def t_add(a: Mapping[int, int], b: Mapping[int, int]) -> TCoeff:
@@ -83,20 +87,21 @@ def t_to_json(a: Mapping[int, int]) -> list[dict]:
 
 
 def t_from_json(items) -> TCoeff:
-    """Inverse of t_to_json.  Raises ValueError on any other shape and on
-    a repeated t-degree, which would otherwise overwrite the first."""
+    """Inverse of t_to_json.  Raises ValueError on any other shape, on a
+    coef that is neither an int nor a decimal string such as "-12", and
+    on a repeated t-degree, which would otherwise overwrite the first."""
     if not isinstance(items, list):
         raise ValueError(f"t must be a list of {{deg, coef}}, got {items!r}")
     out: TCoeff = {}
     for x in items:
         if not (
             isinstance(x, dict) and type(x.get("deg")) is int
-            and type(x.get("coef")) in (int, str)
+            and (type(coef := x.get("coef")) is int or type(coef) is str and _is_decimal(coef))
         ):
             raise ValueError(f"t entry must be {{deg, coef}}, got {x!r}")
         if x["deg"] in out:
             raise ValueError(f"duplicate t-degree {x['deg']}")
-        out[x["deg"]] = int(x["coef"])
+        out[x["deg"]] = int(coef)
     return out
 
 

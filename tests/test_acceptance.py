@@ -16,8 +16,6 @@ from slidechrom import (
     TPolynomial,
     WeakComposition,
     Window,
-    chromatic_brute,
-    chromatic_via_slides,
     compare_chromatic,
     descent_composition,
     descent_composition_by_labels,
@@ -26,7 +24,6 @@ from slidechrom import (
     expand_in_slides,
     fundamental_qsym,
     incomparability_poset,
-    key_expansion_of_chromatic,
     load_negative_fixtures,
     omega_labeling,
     orientation_from_perm,

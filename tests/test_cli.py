@@ -42,6 +42,13 @@ def test_graph_malformed(capsys):
     assert "error" in out
 
 
+def test_graph_rejects_non_ascii_digits(capsys):
+    # \u0663 is ARABIC-INDIC DIGIT THREE, which int() would read as 3
+    code, doc = run_json(capsys, "graph", "ENEENENEE@\u0663,3")
+    assert code == 2 and doc["status"] == "error"
+    assert "bad path literal" in doc["payload"]["error"]
+
+
 def test_graph_human_contains_dot(capsys):
     code, out = run(capsys, "graph", "ENEENENEE@3,3")
     assert code == 0
@@ -124,6 +131,13 @@ def test_slides_duplicate_exponent_is_error(tmp_path, capsys):
 def test_slides_malformed_terms_is_error(tmp_path, capsys):
     msg = _slides_error(tmp_path, capsys, {"window": [1, 1], "terms": 5})
     assert "terms" in msg
+
+
+def test_slides_non_decimal_coefficient_is_error(tmp_path, capsys):
+    # int() would read "1_0" as 10
+    x1 = {"exp": {"lo": 1, "entries": [1]}, "t": [{"deg": 0, "coef": "1_0"}]}
+    msg = _slides_error(tmp_path, capsys, {"window": [1, 1], "terms": [x1]})
+    assert "t entry" in msg
 
 
 # ---------------------------------------------------------------- others

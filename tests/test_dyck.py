@@ -38,6 +38,15 @@ def test_parse_errors():
             PartialDyckPath.parse(bad)
 
 
+def test_parse_reads_ascii_digits_only():
+    # \u0663 is ARABIC-INDIC DIGIT THREE, which int() would read as 3
+    for bad in ("ENEENENEE@\u0663,3", "ENEENENEE@3,\u0663", "ENEENENEE@\uff13,3"):
+        with pytest.raises(ValueError, match="bad path literal"):
+            PartialDyckPath.parse(bad)
+    # leading zeros are still read and normalised away
+    assert PartialDyckPath.parse("ENEENENEE@03,003").literal == THREE
+
+
 def test_weakly_above_enforced():
     # first step E from (0,0) goes below y=x when r=0
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast
-module: no module imports a name it never uses, every name in __all__
-resolves, and every definition is referenced somewhere in the repository."""
+module: no module of the package, its tests or its demos imports a name it
+never uses, every name in __all__ resolves, and every definition is
+referenced somewhere in the repository."""
 
 import ast
 from collections import Counter
@@ -13,6 +14,8 @@ import slidechrom
 PACKAGE = Path(slidechrom.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
+# bench/ stays out: its tracer imports slidechrom only for the side effects
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _imported_names(tree):
@@ -25,7 +28,7 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

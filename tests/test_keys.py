@@ -380,6 +380,8 @@ GOOD_RECORD = {
         ({**GOOD_RECORD, "path": "X@1,1"}, "bad path literal"),
         ({**GOOD_RECORD, "coefficient": [{"deg": 0, "coef": "3"}]}, "no negative entry"),
         ({**GOOD_RECORD, "coefficient": []}, "no negative entry"),
+        ({**GOOD_RECORD, "path": "EENEENENEENEE@\u0664,5"}, "bad path literal"),
+        ({**GOOD_RECORD, "coefficient": [{"deg": 2, "coef": "-1_0"}]}, "t entry"),
     ],
 )
 def test_negative_record_from_json_rejects_bad_records(doc, msg):

@@ -66,13 +66,21 @@ def test_orientation_from_perm():
     g = dyck_graph(THREE)
     o = orientation_from_perm(g, (2, 1, 3))
     # arc points to the vertex that appears earlier in pi
-    assert sorted(o.arcs) == [(1, 2), (3, 2)]
+    assert sorted(o) == [(1, 2), (3, 2)]
 
 
-def test_orientation_acyclic_enforced():
-    g = dyck_graph(PartialDyckPath.parse("ENENEENEE@3,3"))  # triangle-ish
-    for o in acyclic_orientations(g):
-        pass  # constructor validates
+def test_acyclic_orientations_of_the_triangle():
+    # K3: 2^3 orientations, all but the two directed 3-cycles acyclic
+    g = dyck_graph(PartialDyckPath.parse("NNNEEE@3,0"))
+    edges = g.sorted_edges()
+    assert edges == [(1, 2), (1, 3), (2, 3)]
+    orientations = acyclic_orientations(g)
+    assert len(orientations) == len(set(orientations)) == 6
+    for o in orientations:
+        # every edge oriented exactly once, and omega rises along every arc
+        assert sorted((min(a, b), max(a, b)) for a, b in o) == edges
+        om = omega_labeling(g, o)
+        assert all(om[a - 1] < om[b - 1] for a, b in o)
 
 
 def test_acyclic_orientation_count_three():
@@ -218,12 +226,10 @@ def test_partition_gf_matches_cover_definition():
                 g = dyck_graph(p)
                 rho = restriction_map(p)
                 for o in acyclic_orientations(g):
-                    P = poset_of_orientation(o).with_labels(
-                        omega=omega_labeling(g, o), rho=rho
-                    )
+                    P = poset_of_orientation(g, o, rho)
                     for w in (Window(1, r), Window(-1, r)):
                         assert partition_generating_function(P, w) == (
                             _partition_gf_by_covers(P, w)
-                        ), (p.literal, sorted(o.arcs), w)
+                        ), (p.literal, sorted(o), w)
                         cases += 1
     assert cases == 3274

@@ -173,11 +173,23 @@ _X1 = {"exp": {"lo": 1, "entries": [1]}, "t": [{"deg": 0, "coef": "1"}]}
         ({"window": [1, 1], "terms": [{"exp": 3, "t": []}]}, "weak composition"),
         ({"window": [1, 1], "terms": [{"exp": {"lo": 1, "entries": ["a"]}, "t": []}]}, "weak composition"),
         ({"window": [1, 1], "terms": [{**_X1, "t": [{"deg": 0, "coef": 1.5}]}]}, "t entry"),
+        # coefficient strings int() reads but t_to_json never writes
+        *(
+            ({"window": [1, 1], "terms": [{**_X1, "t": [{"deg": 0, "coef": c}]}]}, "t entry")
+            for c in ("1_0", " 7 ", "+3", "\u0667", "", "-", "1.0", "7\n")
+        ),
+        ({"window": [1, 1], "terms": [{**_X1, "t": [{"deg": 0, "coef": True}]}]}, "t entry"),
     ],
 )
 def test_from_json_rejects_bad_documents(doc, msg):
     with pytest.raises(ValueError, match=msg):
         TPolynomial.from_json_dict(doc)
+
+
+def test_from_json_reads_int_and_decimal_coefficients():
+    t = [{"deg": 0, "coef": 7}, {"deg": 1, "coef": "-12"}, {"deg": 2, "coef": "007"}]
+    p = TPolynomial.from_json_dict({"window": [1, 1], "terms": [{**_X1, "t": t}]})
+    assert p.terms == {WeakComposition((1,), 1): {0: 7, 1: -12, 2: 7}}
 
 
 # --------------------------------------------------------------------- peel
