@@ -26,6 +26,7 @@ from .chromatic import (
     chromatic_via_slides,
     compare_chromatic,
     fundamental_expansion,
+    slide_expansion,
     verify_backstable,
     verify_fundamental_expansion,
 )
@@ -147,7 +148,8 @@ def cmd_chromatic(args) -> CommandResult:
         payload["polynomial"] = poly.to_json_dict()
         lines += ["", str(poly)]
     elif args.mode == "theorem":
-        poly, exp = chromatic_via_slides(path, w)
+        poly, _ = chromatic_via_slides(path, w)
+        exp = slide_expansion(path)  # the full expansion, as --mode both prints
         payload["polynomial"] = poly.to_json_dict()
         payload["expansion"] = _expansion_json(exp)
         lines += ["", "slide expansion:", *_expansion_lines(exp), "", str(poly)]

@@ -87,9 +87,10 @@ def t_to_json(a: Mapping[int, int]) -> list[dict]:
 
 
 def t_from_json(items) -> TCoeff:
-    """Inverse of t_to_json.  Raises ValueError on any other shape, on a
-    coef that is neither an int nor a decimal string such as "-12", and
-    on a repeated t-degree, which would otherwise overwrite the first."""
+    """Inverse of t_to_json, which writes no zero coef; a zero coef read
+    is dropped.  Raises ValueError on any other shape, on a coef that is
+    neither an int nor a decimal string such as "-12", and on a repeated
+    t-degree, which would otherwise overwrite the first, zero or not."""
     if not isinstance(items, list):
         raise ValueError(f"t must be a list of {{deg, coef}}, got {items!r}")
     out: TCoeff = {}
@@ -102,6 +103,8 @@ def t_from_json(items) -> TCoeff:
         if x["deg"] in out:
             raise ValueError(f"duplicate t-degree {x['deg']}")
         out[x["deg"]] = int(coef)
+    if 0 in out.values():
+        out = {d: c for d, c in out.items() if c}
     return out
 
 

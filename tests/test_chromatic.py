@@ -1,5 +1,6 @@
 import itertools
 
+from slidechrom import chromatic
 from slidechrom import (
     PartialDyckPath,
     TPolynomial,
@@ -15,9 +16,11 @@ from slidechrom import (
     partition_generating_function,
     poset_of_orientation,
     restriction_map,
+    slide_expansion,
     verify_backstable,
     verify_fundamental_expansion,
 )
+from slidechrom.cli import _sweep_one
 
 THREE = PartialDyckPath.parse("ENEENENEE@3,3")
 
@@ -36,6 +39,39 @@ def test_displayed_three_vertex_expansion():
         wc([1, 1, 0, 1], lo=0): {1: 1},
         wc([1, 1, 1], lo=-1): {2: 1},
     }
+
+
+def test_via_slides_returns_the_indices_that_survive_on_the_window():
+    # the two indices reaching below 1 vanish on [1, 3] and are not built;
+    # on [0, 3] only the one starting at -1 does
+    _, exp = chromatic_via_slides(THREE, Window(1, 3))
+    assert exp == {wc([1, 1, 1]): {0: 1, 1: 1}, wc([2, 0, 1]): {1: 1}}
+    _, exp = chromatic_via_slides(THREE, Window(0, 3))
+    assert exp == {a: tc for a, tc in slide_expansion(THREE).items() if a.lo >= 0}
+
+
+def test_sweep_checks_build_only_the_window_indices(monkeypatch):
+    calls = []
+    full = chromatic.slide_expansion
+
+    def recording(path, lo=None):
+        calls.append(lo)
+        return full(path, lo)
+
+    monkeypatch.setattr(chromatic, "slide_expansion", recording)
+    p = PartialDyckPath.parse("ENEEENENEENNEENEE@6,5")
+    assert _sweep_one(("theorem", p.literal, 6))["ok"]
+    assert calls == [1]
+    calls.clear()
+    assert _sweep_one(("backstable", p.literal, 2))["ok"]
+    assert calls == [-1]
+    calls.clear()
+    rep = compare_chromatic(p, Window(1, p.r))
+    assert calls == [1]
+    assert rep.expansion == full(p)
+    assert calls == [1, None]
+    assert rep.expansion is rep.expansion  # computed once
+    assert calls == [1, None]
 
 
 def test_displayed_expansion_evaluates_to_descent_count():
@@ -148,7 +184,6 @@ def test_verify_fundamental_truncations():
 def test_expansion_keys_are_descent_compositions():
     # every slide index that appears has weight n and support above -n
     p = PartialDyckPath.parse("ENEEENENEENNEENEE@6,5")
-    _, exp = chromatic_via_slides(p, Window(1, 5))
-    for a in exp:
+    for a in slide_expansion(p):
         assert a.weight() == 6
         assert a.lo >= 1 - 6

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -439,3 +440,44 @@ def test_sweep_keys_matches_library_search(capsys):
         }
         for rec in recs
     ]
+
+
+# ---------------------------------------------------------- golden bytes
+
+
+# sha256 of the --json stdout; a sweep's document does not depend on
+# --threads (see test_sweep_json_deterministic_across_threads)
+GOLDEN_JSON = [
+    pytest.param(
+        ["sweep", "theorem", "4", "3", "--threads", "1"],
+        "00974795a444f404c4c65bd72a2938b48a8e55b9afffb3a635714e961ca87bd4",
+        id="sweep-theorem",
+    ),
+    pytest.param(
+        ["sweep", "backstable", "4", "3", "--threads", "1"],
+        "75ce150379f80f9ea0ad04ef45ebd2635c62bcb2cf3211aca466d8397a744f4d",
+        id="sweep-backstable",
+    ),
+    pytest.param(
+        ["chromatic", "ENEEENENEENNEENEE@6,5", "--mode", "both"],
+        "4e8b66ea6eb0bbd3ef9123197eaca8eaa7250db8ff26432c20a326e7eb4040bd",
+        id="chromatic-both",
+    ),
+    pytest.param(
+        ["chromatic", "ENEENENEE@3,3", "--mode", "theorem", "--window", "-2", "3"],
+        "d7a8e6436d77cfe81c00132df90f471c06b5e47d9f55f56987a153236d4a08fa",
+        id="chromatic-theorem-window",
+    ),
+    pytest.param(
+        ["backstable", "ENEENENEE@3,3", "--m", "2"],
+        "c5b3119ec2237b083a142b99b4e96410040a30290ae93f5dc8ec17d40cefae92",
+        id="backstable",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_JSON)
+def test_json_stdout_is_byte_identical(capsys, argv, digest):
+    code, out = run(capsys, "--json", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

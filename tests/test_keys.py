@@ -342,10 +342,26 @@ def test_negative_record_json_round_trip():
     assert NegativeRecord.from_json({**rec.to_json(), "path": " EENEENENEENEENENE@6,5\n"}) == rec
 
 
+def test_negative_record_from_json_drops_zero_coefficients():
+    doc = {
+        "path": "EENEENENEENEE@4,5",
+        "composition": {"lo": 1, "entries": [1, 2, 0, 1]},
+        "coefficient": [{"deg": 2, "coef": "-1"}, {"deg": 3, "coef": "0"}],
+    }
+    rec = NegativeRecord.from_json(doc)
+    assert rec.coefficient == ((2, -1),)
+    assert rec == NegativeRecord.from_json({**doc, "coefficient": [{"deg": 2, "coef": "-1"}]})
+    # a coefficient that is zero once its zero entries go has no negative entry
+    with pytest.raises(ValueError, match="no negative entry"):
+        NegativeRecord.from_json({**doc, "coefficient": [{"deg": 2, "coef": "0"}]})
+
+
 @pytest.mark.parametrize(
     "coefficient, msg",
     [
         ([{"deg": 2, "coef": "-1"}, {"deg": 2, "coef": "-1"}], "duplicate t-degree"),
+        ([{"deg": 2, "coef": "-1"}, {"deg": 2, "coef": "0"}], "duplicate t-degree"),
+        ([{"deg": 2, "coef": "0"}, {"deg": 2, "coef": "-1"}], "duplicate t-degree"),
         ([{"deg": 2, "coef": -1.5}], "t entry"),
         ([{"deg": "2", "coef": "-1"}], "t entry"),
         ({"deg": 2, "coef": "-1"}, "list"),

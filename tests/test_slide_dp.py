@@ -85,12 +85,21 @@ def positive_part(expansion):
     return {a: tc for a, tc in expansion.items() if a.lo >= 1}
 
 
+def part_from(expansion, lo):
+    # the indices with no block below lo; the empty index has no block
+    return {a: tc for a, tc in expansion.items() if a.weight() == 0 or a.lo >= lo}
+
+
 def test_small_paths_match_permutation_sum():
+    # lo = 1 is the theorem's window; lo = 1 - m the backstable windows
+    # of verify_backstable, and lo = 2 a chromatic --window starting at 2
     assert len(SMALL) == 2870
     for p in SMALL:
         full = slide_expansion(p)
         assert full == permutation_sum(p), p.literal
         assert slide_expansion(p, lo=1) == positive_part(full), p.literal
+        for lo in (-1, 0, 2):
+            assert slide_expansion(p, lo=lo) == part_from(full, lo), (p.literal, lo)
 
 
 def test_six_vertex_sample_matches_permutation_sum():

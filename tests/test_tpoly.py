@@ -9,6 +9,7 @@ from slidechrom.tpoly import (
     combine,
     peel,
     t_add,
+    t_from_json,
     t_is_nonnegative,
     t_mul,
     t_str,
@@ -167,6 +168,15 @@ _X1 = {"exp": {"lo": 1, "entries": [1]}, "t": [{"deg": 0, "coef": "1"}]}
             {"window": [1, 1], "terms": [{**_X1, "t": [{"deg": 0, "coef": "1"}] * 2}]},
             "duplicate t-degree",
         ),
+        # a zero entry still claims its degree
+        *(
+            ({"window": [1, 1], "terms": [{**_X1, "t": t}]}, "duplicate t-degree")
+            for t in (
+                [{"deg": 0, "coef": "0"}, {"deg": 0, "coef": "1"}],
+                [{"deg": 0, "coef": "1"}, {"deg": 0, "coef": "0"}],
+                [{"deg": 0, "coef": 0}, {"deg": 0, "coef": "-0"}],
+            )
+        ),
         ({"window": [1, 1], "terms": 5}, "terms"),
         ([], "object"),
         ({"window": [1], "terms": []}, "window"),
@@ -184,6 +194,13 @@ _X1 = {"exp": {"lo": 1, "entries": [1]}, "t": [{"deg": 0, "coef": "1"}]}
 def test_from_json_rejects_bad_documents(doc, msg):
     with pytest.raises(ValueError, match=msg):
         TPolynomial.from_json_dict(doc)
+
+
+def test_t_from_json_drops_zero_coefficients():
+    # t_to_json writes no zero entry, so reading one back must not keep it
+    t = [{"deg": 2, "coef": "-1"}, {"deg": 3, "coef": "0"}, {"deg": 4, "coef": "-00"}, {"deg": 5, "coef": 0}]
+    assert t_from_json(t) == {2: -1}
+    assert t_from_json([{"deg": 0, "coef": "0"}]) == {}
 
 
 def test_from_json_reads_int_and_decimal_coefficients():
