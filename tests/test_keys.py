@@ -360,11 +360,12 @@ def test_negative_record_from_json_drops_zero_coefficients():
     "coefficient, msg",
     [
         ([{"deg": 2, "coef": "-1"}, {"deg": 2, "coef": "-1"}], "duplicate t-degree"),
-        ([{"deg": 2, "coef": "-1"}, {"deg": 2, "coef": "0"}], "duplicate t-degree"),
-        ([{"deg": 2, "coef": "0"}, {"deg": 2, "coef": "-1"}], "duplicate t-degree"),
         ([{"deg": 2, "coef": -1.5}], "t entry"),
         ([{"deg": "2", "coef": "-1"}], "t entry"),
         ({"deg": 2, "coef": "-1"}, "list"),
+        # a zero entry still claims its degree
+        ([{"deg": 2, "coef": "-1"}, {"deg": 2, "coef": "0"}], "duplicate t-degree"),
+        ([{"deg": 2, "coef": "0"}, {"deg": 2, "coef": "-1"}], "duplicate t-degree"),
     ],
 )
 def test_negative_record_from_json_rejects_bad_coefficients(coefficient, msg):
