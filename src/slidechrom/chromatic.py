@@ -13,7 +13,6 @@ from functools import cached_property
 
 from .compositions import WeakComposition, Window
 from .dyck import PartialDyckPath, dyck_graph, restriction_map
-from .posets import incomparability_poset
 from .slides import slide_polynomial
 from .tpoly import TCoeff, TPolynomial, combine
 
@@ -61,7 +60,10 @@ def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
         return
 
     rec(1, 0)
-    return TPolynomial(w, {WeakComposition(e, w.lo): tc for e, tc in found.items()})
+    # counts span w and every count and t-entry is positive: canonical
+    return TPolynomial._canonical(
+        w, {WeakComposition(e, w.lo): tc for e, tc in found.items()}
+    )
 
 
 def slide_expansion(
@@ -106,13 +108,14 @@ def slide_expansion(
     if lo is not None and min(rho) < lo:
         return {}
     graph = dyck_graph(path)
-    above = [0] * n  # above[v]: bitmask of the vertices over v in the poset
-    lower_nbrs = [0] * n  # lower_nbrs[u]: bitmask of u's smaller neighbours
-    for a, b in incomparability_poset(graph).less:
-        above[a - 1] |= 1 << (b - 1)
-    for i, j in graph.edges:
-        lower_nbrs[j - 1] |= 1 << (i - 1)
     full = (1 << n) - 1
+    # above[v]: bitmask of the vertices over v in the incomparability
+    # poset, the later vertices that are not adjacent to v
+    above = [full & ~((2 << v) - 1) for v in range(n)]
+    lower_nbrs = [0] * n  # lower_nbrs[u]: bitmask of u's smaller neighbours
+    for i, j in graph.edges:
+        above[i - 1] &= ~(1 << (j - 1))
+        lower_nbrs[j - 1] |= 1 << (i - 1)
     slot = _t_slot(n)
     # bounds start at some rho(u) >= 0 and each of the at most n - 1
     # closes lowers them by at most one, so every block index lies in
@@ -199,8 +202,9 @@ def chromatic_via_slides(
     because a slide only moves mass to smaller indices.
     """
     expansion = slide_expansion(path, lo=w.lo)
+    # combine drops zero entries, and every slide polynomial on w lies in w
     terms = combine(expansion, lambda rd: slide_polynomial(rd, w).terms.items())
-    return TPolynomial(w, terms), expansion
+    return TPolynomial._canonical(w, terms), expansion
 
 
 @dataclass
@@ -228,12 +232,13 @@ def compare_chromatic(path: PartialDyckPath, w: Window) -> ChromaticReport:
     """Run both routes and report equality plus coefficient positivity."""
     brute = chromatic_brute(path, w)
     via, _ = chromatic_via_slides(path, w)
-    diff = brute - via
-    mismatches = [
-        (e, diff.terms[e]) for e in sorted(
-            diff.terms, key=lambda e: (e.lo, e.entries)
+    # both are canonical, so equal terms mean equal polynomials
+    equal = brute == via
+    mismatches = []
+    if not equal:
+        mismatches = sorted(
+            (brute - via).terms.items(), key=lambda it: (it[0].lo, it[0].entries)
         )
-    ]
     nonneg = all(
         c >= 0 for tc in brute.terms.values() for c in tc.values()
     )
@@ -242,7 +247,7 @@ def compare_chromatic(path: PartialDyckPath, w: Window) -> ChromaticReport:
         window=w,
         brute=brute,
         via_slides=via,
-        equal=not mismatches,
+        equal=equal,
         nonnegative=nonneg,
         mismatches=mismatches,
     )

@@ -17,7 +17,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -354,6 +353,10 @@ def cmd_sweep(args) -> CommandResult:
     tasks = [(mode, p.literal, m) for p in scan_paths(args.n, args.r)]
     threads = args.threads or os.cpu_count() or 1
     if threads > 1 and len(tasks) > 1:
+        # imported here: it is half of the module's import time, and the
+        # forked workers do not need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_one, tasks, chunksize=64))
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from operator import index
 from typing import Iterator
 
 # ASCII digits only: \d would also read other scripts' digits
@@ -87,7 +88,12 @@ class PartialDyckPath:
 
 class DyckGraph:
     """Graph on vertices 1..n whose edges satisfy the interval property:
-    {i,j} an edge forces {i',j'} for all i <= i' < j' <= j."""
+    {i,j} an edge forces {i',j'} for all i <= i' < j' <= j.
+
+    The constructor checks it locally: an edge {i,j} with j > i + 1 must
+    come with {i,j-1} and {i+1,j}.  By induction on j - i that gives
+    every {i',j'} inside [i, j], and the interval property gives the two.
+    """
 
     __slots__ = ("n", "edges")
 
@@ -97,8 +103,9 @@ class DyckGraph:
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad edge ({i},{j}) for n={n}")
         for i, j in es:
-            for a in range(i, j + 1):
-                for b in range(a + 1, j + 1):
+            # index() refuses a non-integer end with TypeError
+            if index(j) - index(i) > 1:
+                for a, b in ((i, j - 1), (i + 1, j)):
                     if (a, b) not in es:
                         raise ValueError(
                             f"interval property fails: ({i},{j}) present, ({a},{b}) missing"

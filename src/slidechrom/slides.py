@@ -19,8 +19,8 @@ def slide_polynomial(a: WeakComposition, w: Window) -> TPolynomial:
     Enumerates dominated refinements directly; see
     slide_polynomial_by_chains for the independent model.
     """
-    terms = {b: {0: 1} for b in slide_set(a, w)}
-    return TPolynomial(w, terms)
+    # slide_set yields distinct exponents inside w
+    return TPolynomial._canonical(w, {b: {0: 1} for b in slide_set(a, w)})
 
 
 def slide_polynomial_by_chains(a: WeakComposition, w: Window) -> TPolynomial:

@@ -132,6 +132,17 @@ class TPolynomial:
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _canonical(cls, window: Window, terms: dict[WeakComposition, TCoeff]) -> "TPolynomial":
+        """A polynomial that takes ownership of terms already in canonical
+        form: no zero t-entry, no empty t-coefficient and every exponent
+        inside window.  Nothing is checked or copied, so only producers
+        whose terms are canonical by construction may call it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("TPolynomial is immutable")
 
@@ -254,9 +265,10 @@ class TPolynomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TPolynomial":
-        """Inverse of to_json_dict.  Raises ValueError on any other shape
-        and on a repeated exponent or t-degree, which would otherwise
-        overwrite each other."""
+        """Inverse of to_json_dict.  Raises ValueError on any other shape,
+        on a repeated exponent or t-degree, which would otherwise
+        overwrite each other, and on an exponent outside the window.  A
+        term whose t-entries are all zero is dropped, window or not."""
         if not isinstance(d, dict):
             raise ValueError("polynomial document must be a JSON object")
         win, items = d.get("window"), d.get("terms")
@@ -267,18 +279,26 @@ class TPolynomial:
             raise ValueError(f"window must be [lo, hi], got {win!r}")
         if not isinstance(items, list):
             raise ValueError(f"terms must be a list, got {items!r}")
+        seen: set[WeakComposition] = set()
         terms: dict[WeakComposition, TCoeff] = {}
         for item in items:
             if not (isinstance(item, dict) and isinstance(item.get("t"), list)):
                 raise ValueError(f"term must be {{exp, t: [...]}}, got {item!r}")
             e = WeakComposition.from_json(item.get("exp"))
-            if e in terms:
+            if e in seen:
                 raise ValueError(f"duplicate exponent {e}")
+            seen.add(e)
             try:
-                terms[e] = t_from_json(item["t"])
+                tc = t_from_json(item["t"])
             except ValueError as exc:
                 raise ValueError(f"{exc} at exponent {e}") from None
-        return cls(Window(win[0], win[1]), terms)
+            if tc:
+                terms[e] = tc
+        w = Window(win[0], win[1])
+        for e in terms:
+            if not e.supported_in(w):
+                raise ValueError(f"exponent {e} outside window [{w.lo}, {w.hi}]")
+        return cls._canonical(w, terms)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 from slidechrom import chromatic
 from slidechrom import (
@@ -17,10 +18,11 @@ from slidechrom import (
     poset_of_orientation,
     restriction_map,
     slide_expansion,
+    slide_polynomial,
     verify_backstable,
     verify_fundamental_expansion,
 )
-from slidechrom.cli import _sweep_one
+from slidechrom.cli import _sweep_one, main
 
 THREE = PartialDyckPath.parse("ENEENENEE@3,3")
 
@@ -122,6 +124,49 @@ def test_brute_matches_product_enumeration():
                     assert chromatic_brute(p, w).terms == _colorings_by_product(p, w), (p.literal, w)
                     cases += 1
     assert cases == 3 * 450
+
+
+def _assert_canonical(poly, w):
+    # what the unchecked constructor trusts: the checked one changes nothing
+    assert poly.window == w
+    assert TPolynomial(w, poly.terms).terms == poly.terms
+    for e, tc in poly.terms.items():
+        assert tc and 0 not in tc.values()
+        assert e.supported_in(w)
+
+
+def test_engine_polynomials_are_canonical():
+    for n in range(5):
+        for r in range(4):
+            for p in enumerate_paths(n, r):
+                for w in (Window(1, r), Window(-1, r), Window(1 - n, 0)):
+                    _assert_canonical(chromatic_brute(p, w), w)
+                    poly, exp = chromatic_via_slides(p, w)
+                    _assert_canonical(poly, w)
+                    for a in exp:
+                        _assert_canonical(slide_polynomial(a, w), w)
+
+
+def test_mismatch_is_reported(monkeypatch, capsys):
+    # a slide polynomial with one coefficient doubled breaks the theorem
+    true_slide = chromatic.slide_polynomial
+
+    def doubled(a, w):
+        terms = dict(true_slide(a, w).terms)
+        e = min(terms, key=lambda e: (e.lo, e.entries))
+        terms[e] = {d: 2 * c for d, c in terms[e].items()}
+        return TPolynomial(w, terms)
+
+    monkeypatch.setattr(chromatic, "slide_polynomial", doubled)
+    rep = compare_chromatic(THREE, Window(1, 3))
+    assert rep.equal is False
+    diff = rep.brute - rep.via_slides
+    assert diff.terms
+    assert rep.mismatches == sorted(diff.terms.items(), key=lambda it: (it[0].lo, it[0].entries))
+    code = main(["--json", "chromatic", THREE.literal, "--mode", "both"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["status"] == "mismatch"
+    assert doc["payload"]["equal"] is False and "mismatches" in doc["payload"]
 
 
 def test_theorem_equality_small_sweep():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -85,20 +86,50 @@ def test_edge_rule_matches_heights():
                     assert ((i, j) in g.edges) == (h[i + r - 1] >= j + r)
 
 
-def test_interval_property():
-    # neighborhoods of dyck graphs are intervals: i~j with i<k<j forces i~k, k~j
-    for p in enumerate_paths(4, 2):
-        g = dyck_graph(p)
-        for i, j in g.sorted_edges():
-            for k in range(i + 1, j):
-                assert (i, k) in g.edges and (k, j) in g.edges
-
-
 def test_graph_validation():
     with pytest.raises(ValueError):
         DyckGraph(3, frozenset({(1, 3)}))  # gap violates interval property
     with pytest.raises(ValueError):
         DyckGraph(2, frozenset({(2, 1)}))  # must be i < j
+    with pytest.raises(TypeError):
+        DyckGraph(2, frozenset({(1.0, 2.0)}))  # ends must be integers
+
+
+def _interval_property(edges):
+    # the definition written out: {i,j} forces every {a,b} with i <= a < b <= j
+    return all(
+        (a, b) in edges
+        for i, j in edges
+        for a in range(i, j + 1)
+        for b in range(a + 1, j + 1)
+    )
+
+
+def _accepts(n, edges):
+    try:
+        DyckGraph(n, edges)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_local_interval_check_matches_the_definition(n):
+    # every edge subset on n <= 5 vertices (1,024 of them at n = 5)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    accepted = 0
+    for k in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            edges = frozenset(edges)
+            assert _accepts(n, edges) == _interval_property(edges), sorted(edges)
+            accepted += _interval_property(edges)
+    # the edge sets with the interval property are counted by the Catalan numbers
+    assert accepted == math.comb(2 * n, n) // (n + 1)
+
+
+def test_interval_property():
+    for p in itertools.chain(enumerate_paths(4, 2), scan_paths(6, 6)):
+        assert _interval_property(dyck_graph(p).edges), p.literal
 
 
 def test_restriction_values_in_range():

@@ -89,3 +89,17 @@ def test_poset_oracle_stays_independent_of_the_engine():
     names = set(_references(ast.parse(path.read_text(), filename=str(path))))
     engine = {"slide_expansion", "slide_set", "peel", "combine"}
     assert not names & engine, f"posets.py uses engine names: {sorted(names & engine)}"
+
+
+def test_slide_dp_stays_independent_of_the_poset_oracle():
+    # tests/test_slide_dp.py checks the subset DP in chromatic.py against
+    # the permutation sum in posets.py, so chromatic.py may not import it
+    path = PACKAGE / "chromatic.py"
+    sources = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            sources.add((node.module or "").split(".")[-1])
+            sources.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            sources.update(alias.name.split(".")[-1] for alias in node.names)
+    assert "posets" not in sources, "chromatic.py imports from posets"

@@ -189,11 +189,21 @@ _X1 = {"exp": {"lo": 1, "entries": [1]}, "t": [{"deg": 0, "coef": "1"}]}
                 [{"deg": 0, "coef": 0}, {"deg": 0, "coef": "-0"}],
             )
         ),
+        ({"window": [2, 3], "terms": [_X1]}, "outside window"),
+        # a dropped all-zero term still claims its exponent
+        ({"window": [1, 1], "terms": [{**_X1, "t": [{"deg": 0, "coef": "0"}]}, _X1]}, "duplicate exponent"),
     ],
 )
 def test_from_json_rejects_bad_documents(doc, msg):
     with pytest.raises(ValueError, match=msg):
         TPolynomial.from_json_dict(doc)
+
+
+def test_from_json_drops_zero_terms_before_the_window_check():
+    zero = {"exp": {"lo": 5, "entries": [1]}, "t": [{"deg": 0, "coef": "0"}, {"deg": 1, "coef": 0}]}
+    p = TPolynomial.from_json_dict({"window": [1, 1], "terms": [zero, _X1]})
+    assert p.terms == {WeakComposition((1,), 1): {0: 1}}
+    assert TPolynomial.from_json_dict({"window": [1, 1], "terms": [zero]}).is_zero()
 
 
 def test_t_from_json_drops_zero_coefficients():
