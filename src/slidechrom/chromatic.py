@@ -2,17 +2,17 @@
 independent ways: brute-force over bounded proper colorings, and as a
 permutation sum of slide polynomials, evaluated by a dynamic program
 over subsets.  Also the fundamental expansion of the nonpositive-variable
-specialization.
+specialization, computed once per Dyck graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .compositions import WeakComposition, Window
-from .dyck import PartialDyckPath, dyck_graph, restriction_map
+from .dyck import DyckGraph, PartialDyckPath, dyck_graph, restriction_map
 from .slides import slide_polynomial
 from .tpoly import TCoeff, TPolynomial, combine
 
@@ -107,15 +107,8 @@ def slide_expansion(
         return {WeakComposition(): {0: 1}}
     if lo is not None and min(rho) < lo:
         return {}
-    graph = dyck_graph(path)
     full = (1 << n) - 1
-    # above[v]: bitmask of the vertices over v in the incomparability
-    # poset, the later vertices that are not adjacent to v
-    above = [full & ~((2 << v) - 1) for v in range(n)]
-    lower_nbrs = [0] * n  # lower_nbrs[u]: bitmask of u's smaller neighbours
-    for i, j in graph.edges:
-        above[i - 1] &= ~(1 << (j - 1))
-        lower_nbrs[j - 1] |= 1 << (i - 1)
+    above, lower_nbrs = _poset_masks(dyck_graph(path))
     slot = _t_slot(n)
     # bounds start at some rho(u) >= 0 and each of the at most n - 1
     # closes lowers them by at most one, so every block index lies in
@@ -167,6 +160,19 @@ def slide_expansion(
         WeakComposition.from_items(unpack_blocks(closed)): _t_unpack(tc, slot)
         for closed, tc in packed.items()
     }
+
+
+def _poset_masks(graph: DyckGraph) -> tuple[list[int], list[int]]:
+    """The incomparability poset as bitmasks, vertex v + 1 at bit v:
+    above[v] holds the vertices over v, the later vertices not adjacent
+    to v, and lower_nbrs[u] the neighbours of u with smaller labels."""
+    n = graph.n
+    above = [((1 << n) - 1) & ~((2 << v) - 1) for v in range(n)]
+    lower_nbrs = [0] * n
+    for i, j in graph.edges:
+        above[i - 1] &= ~(1 << (j - 1))
+        lower_nbrs[j - 1] |= 1 << (i - 1)
+    return above, lower_nbrs
 
 
 def _t_slot(n: int) -> int:
@@ -253,29 +259,85 @@ def compare_chromatic(path: PartialDyckPath, w: Window) -> ChromaticReport:
     )
 
 
+# The fundamental expansion and its check depend on the Dyck graph alone,
+# so both are kept per graph.  A scan of P(n, r) meets at most Catalan(n)
+# graphs and n = 1..8 have 2,055 between them, so no scan fills this cap.
+_MEMO_CAP = 4096
+_VERDICTS: dict[tuple[DyckGraph, int], bool] = {}
+
+
+@lru_cache(maxsize=_MEMO_CAP)
+def _fundamental_dp(graph: DyckGraph) -> dict[tuple[int, ...], int]:
+    """slide_expansion's subset DP without bounds or rho: the fundamental
+    index of pi is its block sizes in order, and a block grows exactly
+    when the front lies below the new vertex in the poset.  A state is
+    (placed vertices, front vertex, block sizes), the sizes packed in
+    n.bit_length()-bit fields with the open block lowest; coefficients
+    are packed as in slide_expansion."""
+    n = graph.n
+    if n == 0:
+        return {(): 1}
+    full = (1 << n) - 1
+    above, lower_nbrs = _poset_masks(graph)
+    slot = _t_slot(n)
+    bits = n.bit_length()
+    layer = {(1 << u, u, 1): 1 for u in range(n)}
+    for _ in range(n - 1):
+        nxt: dict[tuple, int] = {}
+        get = nxt.get
+        for (mask, v, blocks), tc in layer.items():
+            up = above[v]
+            free = full & ~mask
+            while free:
+                bit = free & -free
+                free ^= bit
+                u = bit.bit_length() - 1
+                key = (mask | bit, u, blocks + 1 if up & bit else blocks << bits | 1)
+                nxt[key] = get(key, 0) + (tc << slot * (mask & lower_nbrs[u]).bit_count())
+        layer = nxt
+    packed: dict[int, int] = {}
+    for (_, _, blocks), tc in layer.items():
+        packed[blocks] = packed.get(blocks, 0) + tc
+    size_mask = (1 << bits) - 1
+    out = {}
+    for blocks, tc in packed.items():
+        alpha = []
+        while blocks:
+            alpha.append(blocks & size_mask)
+            blocks >>= bits
+        out[tuple(alpha)] = tc
+    return out
+
+
 def fundamental_expansion(
     path: PartialDyckPath,
 ) -> dict[tuple[int, ...], TCoeff]:
     """Expansion of the all-nonpositive-color generating function into
     fundamental quasisymmetric polynomials: the backstable limit of the
-    slide expansion.
-
-    Descent-composition blocks are the runs between poset ascents, so
-    flatten(rdes(pi)) = transpose(comp_of_subset(Des(pi))) and each
-    permutation contributes t^inv to the flattened slide index.
-    """
-    return combine(slide_expansion(path), lambda a: ((a.flatten(), {0: 1}),))
+    slide expansion, its flattened indices.  It depends on the Dyck graph
+    alone and is computed once per graph; every call returns fresh
+    coefficients."""
+    graph = dyck_graph(path)
+    slot = _t_slot(graph.n)
+    return {alpha: _t_unpack(tc, slot) for alpha, tc in _fundamental_dp(graph).items()}
 
 
 def verify_fundamental_expansion(path: PartialDyckPath, m: int) -> bool:
     """Check the expansion against brute-force colorings in [1-m, 0],
-    where F_alpha is the slide polynomial of alpha right-justified at 0."""
-    w = Window(1 - m, 0)
-    total = combine(
-        fundamental_expansion(path),
-        lambda alpha: slide_polynomial(WeakComposition(alpha, 1 - len(alpha)), w).terms.items(),
-    )
-    return chromatic_brute(path, w).terms == total
+    where F_alpha is the slide polynomial of alpha right-justified at 0.
+    rho >= 0 caps no color there, so the verdict depends on the Dyck
+    graph alone and is computed once per graph and m."""
+    key = (dyck_graph(path), m)
+    if key not in _VERDICTS:
+        w = Window(1 - m, 0)
+        total = combine(
+            fundamental_expansion(path),
+            lambda alpha: slide_polynomial(WeakComposition(alpha, 1 - len(alpha)), w).terms.items(),
+        )
+        if len(_VERDICTS) >= _MEMO_CAP:
+            _VERDICTS.clear()
+        _VERDICTS[key] = chromatic_brute(path, w).terms == total
+    return _VERDICTS[key]
 
 
 def verify_backstable(path: PartialDyckPath, m: int) -> ChromaticReport:

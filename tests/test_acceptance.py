@@ -196,7 +196,7 @@ def test_07_truncated_product_identity(capsys):
     report(capsys, 7, "truncated product identity", ok, t0, budget=300)
 
 
-def test_08_fundamental_truncations(capsys):
+def test_08_fundamental_truncations(capsys, cold_graph_memos):
     t0 = time.time()
     ok = True
     for n in range(1, 5):

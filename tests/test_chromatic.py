@@ -204,12 +204,17 @@ def test_backstable_windows():
 
 
 def test_fundamental_expansion_three():
-    exp = fundamental_expansion(THREE)
-    assert exp == {
+    expected = {
         (1, 1, 1): {0: 1, 1: 2, 2: 1},
         (1, 2): {1: 1},
         (2, 1): {1: 1},
     }
+    exp = fundamental_expansion(THREE)
+    assert exp == expected
+    # the per-graph memo hands out fresh coefficients every call
+    exp[(1, 1, 1)][0] += 5
+    del exp[(1, 2)]
+    assert fundamental_expansion(THREE) == expected
 
 
 def test_fundamental_expansion_weights():
@@ -219,7 +224,22 @@ def test_fundamental_expansion_weights():
         assert sum(c for tc in exp.values() for c in tc.values()) == 6
 
 
-def test_verify_fundamental_truncations():
+def test_brute_force_on_nonpositive_windows_depends_on_the_graph_alone():
+    # rho >= 0 caps no color on [1 - m, 0]; verify_fundamental_expansion
+    # keeps one verdict per graph and m on the strength of this
+    seen = {}
+    for n in range(1, 5):
+        for r in range(0, 4):
+            for p in enumerate_paths(n, r):
+                g = dyck_graph(p)
+                for m in range(1, n + 1):
+                    poly = chromatic_brute(p, Window(1 - m, 0))
+                    assert seen.setdefault((g, m), poly) == poly, (p.literal, m)
+    # every graph on 1..4 vertices, each with m = 1..n
+    assert len(seen) == 1 * 1 + 2 * 2 + 5 * 3 + 14 * 4
+
+
+def test_verify_fundamental_truncations(cold_graph_memos):
     for n in range(1, 4):
         for r in range(0, 3):
             for p in enumerate_paths(n, r):

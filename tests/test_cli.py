@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from slidechrom import NegativeRecord, WeakComposition, search_negative_records
+from slidechrom import NegativeRecord, WeakComposition, chromatic, search_negative_records
 from slidechrom.cli import main
 
 
@@ -401,6 +401,14 @@ def test_sweep_corollary(capsys):
     assert code == 0 and doc["payload"]["failures"] == []
 
 
+def test_sweep_corollary_keeps_one_entry_per_graph(capsys, cold_graph_memos):
+    # the 2,044 paths of P(5, r <= 4) span the 42 Dyck graphs on 5 vertices
+    code, doc = run_json(capsys, "sweep", "corollary", "5", "4", "--threads", "1")
+    assert code == 0 and doc["payload"]["paths"] == 2044
+    assert chromatic._fundamental_dp.cache_info().currsize == 42
+    assert len(chromatic._VERDICTS) == 42
+
+
 def test_sweep_corollary_default_m_is_at_least_one(capsys):
     # m defaults to n, which would be the empty window at n = 0
     code, doc = run_json(capsys, "sweep", "corollary", "0", "0", "--threads", "1")
@@ -472,6 +480,16 @@ GOLDEN_JSON = [
         ["backstable", "ENEENENEE@3,3", "--m", "2"],
         "c5b3119ec2237b083a142b99b4e96410040a30290ae93f5dc8ec17d40cefae92",
         id="backstable",
+    ),
+    pytest.param(
+        ["sweep", "corollary", "4", "3", "--threads", "1"],
+        "310dd16715d8821f75c512a1c17328837d337125dbc56279dddc370aae236197",
+        id="sweep-corollary",
+    ),
+    pytest.param(
+        ["qsym", "ENEENENEE@3,3", "--m", "3"],
+        "945337795bc839f008c2c836ac4f446821a5087d8086ba734f51233a6183db3d",
+        id="qsym-verified",
     ),
 ]
 

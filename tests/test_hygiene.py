@@ -1,9 +1,13 @@
 """Source hygiene of the package, checked with the standard library's ast
 module: no module of the package, its tests or its demos imports a name it
 never uses, every name in __all__ resolves, and every definition is
-referenced somewhere in the repository."""
+referenced somewhere in the repository.  Importing the package and its
+CLI also leaves the process pool's module unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -103,3 +107,12 @@ def test_slide_dp_stays_independent_of_the_poset_oracle():
         elif isinstance(node, ast.Import):
             sources.update(alias.name.split(".")[-1] for alias in node.names)
     assert "posets" not in sources, "chromatic.py imports from posets"
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # cli.py imports concurrent.futures only when a sweep starts workers,
+    # which keeps it out of every other command's start-up time
+    code = "import sys, slidechrom, slidechrom.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

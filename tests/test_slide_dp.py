@@ -108,6 +108,13 @@ def test_six_vertex_sample_matches_permutation_sum():
         full = slide_expansion(p)
         assert full == permutation_sum(p), p.literal
         assert slide_expansion(p, lo=1) == positive_part(full), p.literal
+        # the per-graph fundamental DP is the flattened slide expansion
+        flat = {}
+        for a, tc in full.items():
+            cur = flat.setdefault(a.flatten(), {})
+            for d, c in tc.items():
+                cur[d] = cur.get(d, 0) + c
+        assert fundamental_expansion(p) == flat, p.literal
 
 
 def test_seven_vertex_paths_match_permutation_sum():
