@@ -21,11 +21,10 @@ from .dyck import PartialDyckPath, scan_paths
 from .tpoly import (
     TCoeff,
     TPolynomial,
+    combine,
     peel,
-    t_add,
     t_from_json,
     t_is_nonnegative,
-    t_neg,
     t_to_json,
 )
 
@@ -44,31 +43,20 @@ def divided_difference(p: TPolynomial, i: int) -> TPolynomial:
     """
     if not (p.window.lo <= i and i + 1 <= p.window.hi):
         raise ValueError(f"variables x{i}, x{i + 1} outside window {p.window}")
-    terms: dict[WeakComposition, TCoeff] = {}
 
-    def bump(e: WeakComposition, tc: TCoeff):
-        cur = t_add(terms.get(e, {}), tc)
-        if cur:
-            terms[e] = cur
-        else:
-            terms.pop(e, None)
-
-    for e, tc in p.terms.items():
-        a, b = e[i], e[i + 1]
-        if a == b:
-            continue
+    def quotient(e: WeakComposition):
+        # x^e's quotient: x_i^b x_{i+1}^b times the complete homogeneous
+        # terms of degree a - b - 1 in x_i, x_{i+1}, negated when a < b
+        a, b, sign = e[i], e[i + 1], {0: 1}
+        if a < b:
+            a, b, sign = b, a, {0: -1}
         rest = WeakComposition.from_items(
             (k, v) for k, v in e.items() if k not in (i, i + 1)
         )
-        neg = a < b
-        if neg:
-            a, b = b, a
         for m in range(a - b):
-            pair = WeakComposition.from_items(
-                [(i, b + m), (i + 1, a - 1 - m)]
-            )
-            bump(rest.added(pair), t_neg(tc) if neg else tc)
-    return TPolynomial(p.window, terms)
+            yield rest.added(WeakComposition.from_items([(i, b + m), (i + 1, a - 1 - m)])), sign
+
+    return TPolynomial(p.window, combine(p.terms, quotient))
 
 
 def demazure_operator(p: TPolynomial, i: int) -> TPolynomial:

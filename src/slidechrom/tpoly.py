@@ -6,6 +6,11 @@ arbitrary-precision integer arithmetic.  TPolynomial maps exponent
 vectors (WeakComposition) to t-coefficients and carries a Window as
 metadata describing where exponents are allowed to live.  Operations
 never silently truncate: a term outside the window raises.
+
+combine is the one routine that multiplies and adds t-coefficients:
+every TPolynomial operation (+, -, *, scaled, evaluate_all_ones), the
+divided difference in keys and every sum of tc * basis(k) over an
+expansion is one combine call.  peel, the inverse, subtracts in place.
 """
 
 from __future__ import annotations
@@ -24,34 +29,6 @@ K = TypeVar("K", bound=Hashable)
 
 # a coefficient string as t_to_json writes it
 _is_decimal = re.compile(r"-?[0-9]+").fullmatch
-
-
-def t_add(a: Mapping[int, int], b: Mapping[int, int]) -> TCoeff:
-    out = dict(a)
-    for d, c in b.items():
-        v = out.get(d, 0) + c
-        if v:
-            out[d] = v
-        else:
-            out.pop(d, None)
-    return out
-
-
-def t_neg(a: Mapping[int, int]) -> TCoeff:
-    return {d: -c for d, c in a.items()}
-
-
-def t_mul(a: Mapping[int, int], b: Mapping[int, int]) -> TCoeff:
-    out: TCoeff = {}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            d = d1 + d2
-            v = out.get(d, 0) + c1 * c2
-            if v:
-                out[d] = v
-            else:
-                out.pop(d, None)
-    return out
 
 
 def t_is_nonnegative(a: Mapping[int, int]) -> bool:
@@ -164,18 +141,12 @@ class TPolynomial:
         return not self.terms
 
     def __add__(self, other: "TPolynomial") -> "TPolynomial":
-        w = self.window.union(other.window)
-        terms = dict(self.terms)
-        for e, tc in other.terms.items():
-            merged = t_add(terms.get(e, {}), tc)
-            if merged:
-                terms[e] = merged
-            else:
-                terms.pop(e, None)
-        return TPolynomial(w, terms)
+        parts = (self.terms, other.terms)
+        terms = combine({0: {0: 1}, 1: {0: 1}}, lambda k: parts[k].items())
+        return TPolynomial(self.window.union(other.window), terms)
 
     def __neg__(self) -> "TPolynomial":
-        return TPolynomial(self.window, {e: t_neg(tc) for e, tc in self.terms.items()})
+        return self.scaled({0: -1})
 
     def __sub__(self, other: "TPolynomial") -> "TPolynomial":
         return self + (-other)
@@ -189,19 +160,7 @@ class TPolynomial:
 
     def scaled(self, tc: Mapping[int, int]) -> "TPolynomial":
         """Multiply by an element of Z[t]."""
-        out: dict[WeakComposition, TCoeff] = {}
-        for e, t1 in self.terms.items():
-            v = t_mul(t1, tc)
-            if v:
-                out[e] = v
-        return TPolynomial(self.window, out)
-
-    def scale_t(self, k: int) -> "TPolynomial":
-        """Multiply by t^k."""
-        return TPolynomial(
-            self.window,
-            {e: {d + k: c for d, c in tc.items()} for e, tc in self.terms.items()},
-        )
+        return TPolynomial(self.window, combine(self.terms, lambda e: ((e, tc),)))
 
     def shifted(self, k: int) -> "TPolynomial":
         """Shift every variable index by k (x_i -> x_{i+k})."""
@@ -216,10 +175,7 @@ class TPolynomial:
 
     def evaluate_all_ones(self) -> TCoeff:
         """Set every x_i = 1, leaving a polynomial in t."""
-        out: TCoeff = {}
-        for tc in self.terms.values():
-            out = t_add(out, tc)
-        return out
+        return combine(self.terms, lambda e: ((None, {0: 1}),)).get(None, {})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPolynomial):

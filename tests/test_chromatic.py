@@ -191,7 +191,7 @@ def test_orientation_partition_identity():
                     P = poset_of_orientation(g, o, rho)
                     gf = partition_generating_function(P, w)
                     # an ascent arc a -> b, a < b, forces a descent on every coloring
-                    total = total + gf.scale_t(sum(a < b for a, b in o))
+                    total = total + gf.scaled({sum(a < b for a, b in o): 1})
                 assert chromatic_brute(p, w) == total, p.literal
 
 

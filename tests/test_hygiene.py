@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library's ast
 module: no module of the package, its tests or its demos imports a name it
 never uses, every name in __all__ resolves, and every definition is
-referenced somewhere in the repository.  Importing the package and its
+referenced somewhere in the repository, and only the oracles are referenced
+from tests alone.  Importing the package and its
 CLI also leaves the process pool's module unloaded."""
 
 import ast
@@ -47,25 +48,31 @@ def test_all_names_resolve():
 
 
 def _definitions(tree):
-    # top-level functions and classes, and the non-dunder methods of classes
+    # top-level functions and classes, and the non-dunder methods of classes,
+    # each with its qualified name
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
-                    yield item
+                    yield f"{node.name}.{item.name}", item
 
 
-def _references(tree):
+def _uses(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
+
+
+def _references(tree):
+    yield from _uses(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
             yield node.name.split(".")[-1]
             if node.asname:
                 yield node.asname
@@ -80,10 +87,52 @@ def test_every_definition_is_referenced():
     unreferenced = sorted(
         f"{path.name}:{node.name}"
         for path in PACKAGE.glob("*.py")
-        for node in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        for _, node in _definitions(ast.parse(path.read_text(), filename=str(path)))
         if referenced[node.name] == list(_references(node)).count(node.name)
     )
     assert not unreferenced, f"definitions nothing references: {unreferenced}"
+
+
+# The reference models that tests compare the engine against.  Nothing in
+# src, demos or bench uses them; every other definition that only tests
+# use is dead code that its own test keeps alive.
+ORACLES = (
+    "Window.contains",
+    "transpose",
+    "demazure_operator",
+    "acyclic_orientations",
+    "poset_of_orientation",
+    "poset_descents",
+    "slide_polynomial_by_chains",
+)
+
+
+def _trace_targets(tree):
+    # bench/tracer.py wraps functions it finds by strings such as
+    # "TPolynomial.scaled", so each part of a dotted-name string is a use
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if all(part.isidentifier() for part in node.value.split(".")):
+                yield from node.value.split(".")
+
+
+def test_test_only_definitions_are_oracles():
+    # an import is no use here, since the package root re-exports nearly
+    # every public name; a definition's uses of itself do not count either
+    used = Counter()
+    for top in ("src", "demos", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used.update(_uses(tree))
+            if top == "bench":
+                used.update(_trace_targets(tree))
+    test_only = sorted(
+        name
+        for path in PACKAGE.glob("*.py")
+        for name, node in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if used[node.name] == list(_uses(node)).count(node.name)
+    )
+    assert test_only == sorted(ORACLES), f"definitions only tests use: {test_only}"
 
 
 def test_poset_oracle_stays_independent_of_the_engine():

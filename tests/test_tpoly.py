@@ -8,10 +8,8 @@ from slidechrom.tpoly import (
     ExpansionError,
     combine,
     peel,
-    t_add,
     t_from_json,
     t_is_nonnegative,
-    t_mul,
     t_str,
 )
 
@@ -32,8 +30,13 @@ def rand_poly(rng, w=Window(-1, 2), terms=3, weight=4):
 
 
 def test_t_helpers():
-    assert t_add({0: 1, 2: 3}, {2: -3, 1: 1}) == {0: 1, 1: 1}
-    assert t_mul({0: 1, 1: 1}, {0: 1, 1: 1}) == {0: 1, 1: 2, 2: 1}
+    x1 = WeakComposition((1,), 1)
+    w = Window(1, 1)
+    a = TPolynomial.monomial(x1, w, {0: 1, 2: 3})
+    assert (a + TPolynomial.monomial(x1, w, {2: -3, 1: 1})).terms == {x1: {0: 1, 1: 1}}
+    assert TPolynomial.monomial(x1, w, {0: 1, 1: 1}).scaled({0: 1, 1: 1}).terms == {
+        x1: {0: 1, 1: 2, 2: 1}
+    }
     assert t_is_nonnegative({0: 1, 4: 2})
     assert not t_is_nonnegative({0: 1, 4: -2})
     assert t_str({}) == "0"
@@ -84,7 +87,7 @@ def test_window_union_on_add():
 def test_scale_t():
     w = Window(1, 2)
     p = TPolynomial.monomial(WeakComposition((1,), 1), w, {0: 1, 1: 2})
-    assert p.scale_t(3).terms[WeakComposition((1,), 1)] == {3: 1, 4: 2}
+    assert p.scaled({3: 1}).terms[WeakComposition((1,), 1)] == {3: 1, 4: 2}
 
 
 def test_shifted():
