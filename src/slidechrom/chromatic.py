@@ -1,8 +1,9 @@
 """Descent-weighted chromatic polynomials of Dyck graphs, computed two
 independent ways: brute-force over bounded proper colorings, and as a
 permutation sum of slide polynomials, evaluated by a dynamic program
-over subsets.  Also the fundamental expansion of the nonpositive-variable
-specialization, computed once per Dyck graph.
+over subsets.  Each route is a private core over (graph, rho) behind a
+public function of the path.  The fundamental expansion of the
+nonpositive-variable specialization is the same DP with rho = 0.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ from .tpoly import TCoeff, TPolynomial, combine
 
 def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
     """Sum of t^(descents) x_{f(1)}..x_{f(n)} over proper colorings f with
-    w.lo <= f(i) <= min(rho(i), w.hi).
+    w.lo <= f(i) <= min(rho(i), w.hi).  A descent is an edge {i,j}, i<j,
+    with f(i) > f(j)."""
+    return _brute(dyck_graph(path), restriction_map(path), w)
 
-    A descent is an edge {i,j}, i<j, with f(i) > f(j).  The walk keeps
-    the color counts of the colored vertices in one list, so a leaf keys
-    its t-coefficient by that list as a tuple; one WeakComposition is
-    built per distinct exponent at the end.
-    """
-    graph = dyck_graph(path)
-    rho = restriction_map(path)
+
+def _brute(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> TPolynomial:
+    """chromatic_brute on the graph with bounds rho.  The walk keeps the
+    color counts of the colored vertices in one list, so a leaf keys its
+    t-coefficient by that list as a tuple; one WeakComposition is built
+    per distinct exponent at the end."""
     n = graph.n
     nbrs_before = {
         v: [u for u in range(1, v) if (u, v) in graph.edges]
@@ -71,7 +73,15 @@ def slide_expansion(
 ) -> dict[WeakComposition, TCoeff]:
     """Slide expansion of the chromatic polynomial: each slide index
     mapped to the sum of t^(graph inversions of pi) over the permutations
-    pi whose descent composition it is.
+    pi whose descent composition it is.  With lo given, only the indices
+    whose blocks all sit at lo or above."""
+    return _slide_dp(dyck_graph(path), restriction_map(path), lo)
+
+
+def _slide_dp(
+    graph: DyckGraph, rho: tuple[int, ...], lo: int | None = None
+) -> dict[WeakComposition, TCoeff]:
+    """slide_expansion on the graph with bounds rho.
 
     A dynamic program over subsets (the transfer-matrix method) stands in
     for the loop over all n! permutations.  pi is built backwards from
@@ -79,13 +89,14 @@ def slide_expansion(
     vertex, its tightened bound, the size of the block still open at the
     front, the closed blocks behind it) and holds the t-coefficient
     summed over the suffixes that reach it.  Prepending u to front v: if
-    v < u in the poset the open block grows and the bound becomes
-    min(bound, rho(u)); otherwise the open block closes at v's bound and
-    the new bound is min(bound - 1, rho(u)).  Each placed neighbour with
-    a smaller label than u adds one inversion.  States with equal keys
-    merge their t-coefficients.  The permutation route
-    (descent_composition, graph_inversions) stays in posets as the oracle
-    the tests compare against.
+    v < u in the incomparability poset (u is later and not adjacent to v)
+    the open block grows and the bound becomes min(bound, rho(u));
+    otherwise the open block closes at v's bound and the new bound is
+    min(bound - 1, rho(u)).  Each placed neighbour with a smaller label
+    than u adds one inversion.  States with equal keys merge their
+    t-coefficients.  The permutation route (descent_composition,
+    graph_inversions) stays in posets as the oracle the tests compare
+    against.
 
     Both the coefficient and the closed blocks are plain ints.  The
     coefficient of t^d sits at bit slot * d (see _t_slot), so adding
@@ -100,15 +111,24 @@ def slide_expansion(
     bound is below lo can only end below lo and is dropped.  Placing u
     caps the bound at rho(u), so one rho(u) < lo leaves nothing; otherwise
     only a block close from a state at bound lo goes below it.
+
+    With rho = 0 the last block of pi sits at 0 and each block one below
+    the block after it: the indices are the fundamental indices
+    right-justified at 0 (see fundamental_expansion).
     """
-    rho = restriction_map(path)
-    n = path.n
+    n = graph.n
     if n == 0:
         return {WeakComposition(): {0: 1}}
     if lo is not None and min(rho) < lo:
         return {}
     full = (1 << n) - 1
-    above, lower_nbrs = _poset_masks(dyck_graph(path))
+    # vertex v + 1 is bit v: above[v] holds the later vertices not
+    # adjacent to v, lower_nbrs[u] the neighbours of u with smaller labels
+    above = [full & ~((2 << v) - 1) for v in range(n)]
+    lower_nbrs = [0] * n
+    for i, j in graph.edges:
+        above[i - 1] &= ~(1 << (j - 1))
+        lower_nbrs[j - 1] |= 1 << (i - 1)
     slot = _t_slot(n)
     # bounds start at some rho(u) >= 0 and each of the at most n - 1
     # closes lowers them by at most one, so every block index lies in
@@ -129,7 +149,7 @@ def slide_expansion(
             raise RuntimeError(f"block indices {indices} not strictly increasing")
         return blocks
 
-    # vertex v + 1 is bit v; the front vertex is v
+    # the front vertex is v, at bit v
     layer = {(1 << u, u, rho[u], 1, 0): 1 for u in range(n)}
     for _ in range(n - 1):
         nxt: dict[tuple, int] = {}
@@ -162,21 +182,8 @@ def slide_expansion(
     }
 
 
-def _poset_masks(graph: DyckGraph) -> tuple[list[int], list[int]]:
-    """The incomparability poset as bitmasks, vertex v + 1 at bit v:
-    above[v] holds the vertices over v, the later vertices not adjacent
-    to v, and lower_nbrs[u] the neighbours of u with smaller labels."""
-    n = graph.n
-    above = [((1 << n) - 1) & ~((2 << v) - 1) for v in range(n)]
-    lower_nbrs = [0] * n
-    for i, j in graph.edges:
-        above[i - 1] &= ~(1 << (j - 1))
-        lower_nbrs[j - 1] |= 1 << (i - 1)
-    return above, lower_nbrs
-
-
 def _t_slot(n: int) -> int:
-    """Bits per t-degree in slide_expansion's packed coefficients.  Each
+    """Bits per t-degree in _slide_dp's packed coefficients.  Each
     coefficient counts permutations of n letters, at most n! of them, so
     a slot of n!'s bit length never carries into the next degree."""
     return math.factorial(n).bit_length()
@@ -201,13 +208,18 @@ def chromatic_via_slides(
 ) -> tuple[TPolynomial, dict[WeakComposition, TCoeff]]:
     """Permutation sum: t^(graph inversions of pi) times the slide
     polynomial of pi's descent composition.  Returns the polynomial on w
-    and the slide expansion it was assembled from.
+    and the slide expansion it was assembled from."""
+    return _via_slides(dyck_graph(path), restriction_map(path), w)
 
-    That expansion is slide_expansion(path, lo=w.lo): it leaves out the
-    indices with a block below w.lo, whose slide polynomials vanish on w
-    because a slide only moves mass to smaller indices.
-    """
-    expansion = slide_expansion(path, lo=w.lo)
+
+def _via_slides(
+    graph: DyckGraph, rho: tuple[int, ...], w: Window
+) -> tuple[TPolynomial, dict[WeakComposition, TCoeff]]:
+    """chromatic_via_slides on the graph with bounds rho.  The expansion
+    is _slide_dp(graph, rho, lo=w.lo): it leaves out the indices with a
+    block below w.lo, whose slide polynomials vanish on w because a slide
+    only moves mass to smaller indices."""
+    expansion = _slide_dp(graph, rho, w.lo)
     # combine drops zero entries, and every slide polynomial on w lies in w
     terms = combine(expansion, lambda rd: slide_polynomial(rd, w).terms.items())
     return TPolynomial._canonical(w, terms), expansion
@@ -235,9 +247,10 @@ class ChromaticReport:
 
 
 def compare_chromatic(path: PartialDyckPath, w: Window) -> ChromaticReport:
-    """Run both routes and report equality plus coefficient positivity."""
-    brute = chromatic_brute(path, w)
-    via, _ = chromatic_via_slides(path, w)
+    """Run both routes on one graph and rho; report equality and positivity."""
+    graph, rho = dyck_graph(path), restriction_map(path)
+    brute = _brute(graph, rho, w)
+    via, _ = _via_slides(graph, rho, w)
     # both are canonical, so equal terms mean equal polynomials
     equal = brute == via
     mismatches = []
@@ -259,85 +272,31 @@ def compare_chromatic(path: PartialDyckPath, w: Window) -> ChromaticReport:
     )
 
 
-# The fundamental expansion and its check depend on the Dyck graph alone,
-# so both are kept per graph.  A scan of P(n, r) meets at most Catalan(n)
-# graphs and n = 1..8 have 2,055 between them, so no scan fills this cap.
-_MEMO_CAP = 4096
-_VERDICTS: dict[tuple[DyckGraph, int], bool] = {}
-
-
-@lru_cache(maxsize=_MEMO_CAP)
-def _fundamental_dp(graph: DyckGraph) -> dict[tuple[int, ...], int]:
-    """slide_expansion's subset DP without bounds or rho: the fundamental
-    index of pi is its block sizes in order, and a block grows exactly
-    when the front lies below the new vertex in the poset.  A state is
-    (placed vertices, front vertex, block sizes), the sizes packed in
-    n.bit_length()-bit fields with the open block lowest; coefficients
-    are packed as in slide_expansion."""
-    n = graph.n
-    if n == 0:
-        return {(): 1}
-    full = (1 << n) - 1
-    above, lower_nbrs = _poset_masks(graph)
-    slot = _t_slot(n)
-    bits = n.bit_length()
-    layer = {(1 << u, u, 1): 1 for u in range(n)}
-    for _ in range(n - 1):
-        nxt: dict[tuple, int] = {}
-        get = nxt.get
-        for (mask, v, blocks), tc in layer.items():
-            up = above[v]
-            free = full & ~mask
-            while free:
-                bit = free & -free
-                free ^= bit
-                u = bit.bit_length() - 1
-                key = (mask | bit, u, blocks + 1 if up & bit else blocks << bits | 1)
-                nxt[key] = get(key, 0) + (tc << slot * (mask & lower_nbrs[u]).bit_count())
-        layer = nxt
-    packed: dict[int, int] = {}
-    for (_, _, blocks), tc in layer.items():
-        packed[blocks] = packed.get(blocks, 0) + tc
-    size_mask = (1 << bits) - 1
-    out = {}
-    for blocks, tc in packed.items():
-        alpha = []
-        while blocks:
-            alpha.append(blocks & size_mask)
-            blocks >>= bits
-        out[tuple(alpha)] = tc
-    return out
-
-
-def fundamental_expansion(
-    path: PartialDyckPath,
-) -> dict[tuple[int, ...], TCoeff]:
+def fundamental_expansion(path: PartialDyckPath) -> dict[tuple[int, ...], TCoeff]:
     """Expansion of the all-nonpositive-color generating function into
     fundamental quasisymmetric polynomials: the backstable limit of the
-    slide expansion, its flattened indices.  It depends on the Dyck graph
-    alone and is computed once per graph; every call returns fresh
-    coefficients."""
+    slide expansion, its flattened indices.  On colors <= 0 no rho(i) >= 0
+    caps anything, so it is the slide expansion of the Dyck graph with
+    rho = 0, whose indices are the fundamental ones right-justified at 0."""
     graph = dyck_graph(path)
-    slot = _t_slot(graph.n)
-    return {alpha: _t_unpack(tc, slot) for alpha, tc in _fundamental_dp(graph).items()}
+    return {a.flatten(): tc for a, tc in _slide_dp(graph, (0,) * graph.n).items()}
 
 
 def verify_fundamental_expansion(path: PartialDyckPath, m: int) -> bool:
-    """Check the expansion against brute-force colorings in [1-m, 0],
-    where F_alpha is the slide polynomial of alpha right-justified at 0.
-    rho >= 0 caps no color there, so the verdict depends on the Dyck
-    graph alone and is computed once per graph and m."""
-    key = (dyck_graph(path), m)
-    if key not in _VERDICTS:
-        w = Window(1 - m, 0)
-        total = combine(
-            fundamental_expansion(path),
-            lambda alpha: slide_polynomial(WeakComposition(alpha, 1 - len(alpha)), w).terms.items(),
-        )
-        if len(_VERDICTS) >= _MEMO_CAP:
-            _VERDICTS.clear()
-        _VERDICTS[key] = chromatic_brute(path, w).terms == total
-    return _VERDICTS[key]
+    """Check the expansion against brute-force colorings in [1-m, 0].
+    Both depend on the Dyck graph alone, so the verdict is kept per graph
+    and m."""
+    return _verdict(dyck_graph(path), m)
+
+
+# A scan of P(n, r) meets at most Catalan(n) graphs and n = 1..8 have
+# 2,055 between them, so no scan fills this cache.
+@lru_cache(maxsize=4096)
+def _verdict(graph: DyckGraph, m: int) -> bool:
+    """Both chromatic routes of the graph with rho = 0 on [1-m, 0]."""
+    zeros = (0,) * graph.n
+    w = Window(1 - m, 0)
+    return _brute(graph, zeros, w) == _via_slides(graph, zeros, w)[0]
 
 
 def verify_backstable(path: PartialDyckPath, m: int) -> ChromaticReport:

@@ -12,7 +12,9 @@ from .compositions import WeakComposition, Window, slide_set
 from .tpoly import TCoeff, TPolynomial, peel
 
 
-@lru_cache(maxsize=None)
+# bounded so a long-running process cannot grow it without limit; no
+# sweep or benchmark list meets more than a few hundred indices
+@lru_cache(maxsize=4096)
 def slide_polynomial(a: WeakComposition, w: Window) -> TPolynomial:
     """Sum of x^b over the slide set of a inside the window.
 

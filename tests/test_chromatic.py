@@ -54,13 +54,13 @@ def test_via_slides_returns_the_indices_that_survive_on_the_window():
 
 def test_sweep_checks_build_only_the_window_indices(monkeypatch):
     calls = []
-    full = chromatic.slide_expansion
+    full = chromatic._slide_dp
 
-    def recording(path, lo=None):
+    def recording(graph, rho, lo=None):
         calls.append(lo)
-        return full(path, lo)
+        return full(graph, rho, lo)
 
-    monkeypatch.setattr(chromatic, "slide_expansion", recording)
+    monkeypatch.setattr(chromatic, "_slide_dp", recording)
     p = PartialDyckPath.parse("ENEEENENEENNEENEE@6,5")
     assert _sweep_one(("theorem", p.literal, 6))["ok"]
     assert calls == [1]
@@ -70,10 +70,26 @@ def test_sweep_checks_build_only_the_window_indices(monkeypatch):
     calls.clear()
     rep = compare_chromatic(p, Window(1, p.r))
     assert calls == [1]
-    assert rep.expansion == full(p)
+    assert rep.expansion == full(dyck_graph(p), restriction_map(p))
     assert calls == [1, None]
     assert rep.expansion is rep.expansion  # computed once
     assert calls == [1, None]
+
+
+def test_compare_builds_the_graph_and_rho_once(monkeypatch):
+    # both routes run on one Dyck graph and one restriction map
+    counts = {"dyck_graph": 0, "restriction_map": 0}
+    for name in counts:
+        def counting(path, name=name, real=getattr(chromatic, name)):
+            counts[name] += 1
+            return real(path)
+
+        monkeypatch.setattr(chromatic, name, counting)
+    p = PartialDyckPath.parse("ENEEENENEENNEENEE@6,5")
+    assert compare_chromatic(p, Window(1, p.r)).ok
+    assert counts == {"dyck_graph": 1, "restriction_map": 1}
+    assert verify_backstable(p, 2).ok
+    assert counts == {"dyck_graph": 2, "restriction_map": 2}
 
 
 def test_displayed_expansion_evaluates_to_descent_count():
@@ -211,7 +227,7 @@ def test_fundamental_expansion_three():
     }
     exp = fundamental_expansion(THREE)
     assert exp == expected
-    # the per-graph memo hands out fresh coefficients every call
+    # every call hands out fresh coefficients
     exp[(1, 1, 1)][0] += 5
     del exp[(1, 2)]
     assert fundamental_expansion(THREE) == expected

@@ -405,8 +405,7 @@ def test_sweep_corollary_keeps_one_entry_per_graph(capsys, cold_graph_memos):
     # the 2,044 paths of P(5, r <= 4) span the 42 Dyck graphs on 5 vertices
     code, doc = run_json(capsys, "sweep", "corollary", "5", "4", "--threads", "1")
     assert code == 0 and doc["payload"]["paths"] == 2044
-    assert chromatic._fundamental_dp.cache_info().currsize == 42
-    assert len(chromatic._VERDICTS) == 42
+    assert chromatic._verdict.cache_info().currsize == 42
 
 
 def test_sweep_corollary_default_m_is_at_least_one(capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slidechrom import (
     DyckGraph,
@@ -46,6 +47,39 @@ def test_parse_reads_ascii_digits_only():
             PartialDyckPath.parse(bad)
     # leading zeros are still read and normalised away
     assert PartialDyckPath.parse("ENEENENEE@03,003").literal == THREE
+
+
+_ALPHABET = "NE@,0123456789 \t\n\u0663"  # \u0663: a non-ASCII digit
+_VALID = [p.literal for n in range(4) for r in range(3) for p in enumerate_paths(n, r)]
+
+
+@st.composite
+def _edited_literals(draw):
+    # a valid literal with up to two spans replaced by alphabet text
+    text = draw(st.sampled_from(_VALID))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.text(_ALPHABET, max_size=2)) + text[i + draw(st.integers(0, 2)):]
+    return text
+
+
+_LITERALS = st.one_of(
+    _edited_literals(),
+    st.text(_ALPHABET, max_size=16),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_LITERALS)
+def test_parse_rejects_or_round_trips(text):
+    # any text either fails with ValueError or names a path its literal
+    # parses back to
+    try:
+        p = PartialDyckPath.parse(text)
+    except ValueError:
+        return
+    assert PartialDyckPath.parse(p.literal) == p
 
 
 def test_weakly_above_enforced():

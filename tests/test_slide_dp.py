@@ -1,5 +1,6 @@
-"""The subset dynamic program behind slide_expansion against the
-permutation sum it replaces, which stays in posets as the oracle."""
+"""The subset dynamic program behind slide_expansion and
+fundamental_expansion against the permutation sum it replaces, which
+stays in posets as the oracle."""
 
 import itertools
 import math
@@ -23,7 +24,7 @@ from slidechrom import (
     slide_expansion,
     transpose,
 )
-from slidechrom.chromatic import _t_slot, _t_unpack
+from slidechrom.chromatic import _slide_dp, _t_slot, _t_unpack
 
 SMALL = [p for n in range(6) for r in range(5) for p in enumerate_paths(n, r)]
 # every 50th six-vertex path in scan order (r ascending, words lexicographic)
@@ -85,6 +86,17 @@ def positive_part(expansion):
     return {a: tc for a, tc in expansion.items() if a.lo >= 1}
 
 
+def flattened(expansion):
+    # the backstable limit: indices flattened, coefficients of equal
+    # flattenings summed
+    flat = {}
+    for a, tc in expansion.items():
+        cur = flat.setdefault(a.flatten(), {})
+        for d, c in tc.items():
+            cur[d] = cur.get(d, 0) + c
+    return flat
+
+
 def part_from(expansion, lo):
     # the indices with no block below lo; the empty index has no block
     return {a: tc for a, tc in expansion.items() if a.weight() == 0 or a.lo >= lo}
@@ -108,13 +120,8 @@ def test_six_vertex_sample_matches_permutation_sum():
         full = slide_expansion(p)
         assert full == permutation_sum(p), p.literal
         assert slide_expansion(p, lo=1) == positive_part(full), p.literal
-        # the per-graph fundamental DP is the flattened slide expansion
-        flat = {}
-        for a, tc in full.items():
-            cur = flat.setdefault(a.flatten(), {})
-            for d, c in tc.items():
-                cur[d] = cur.get(d, 0) + c
-        assert fundamental_expansion(p) == flat, p.literal
+        # the rho = 0 DP is the flattened slide expansion
+        assert fundamental_expansion(p) == flattened(full), p.literal
 
 
 def test_seven_vertex_paths_match_permutation_sum():
@@ -122,6 +129,7 @@ def test_seven_vertex_paths_match_permutation_sum():
         full = slide_expansion(p)
         assert full == permutation_sum(p), p.literal
         assert slide_expansion(p, lo=1) == positive_part(full), p.literal
+        assert fundamental_expansion(p) == flattened(full), p.literal
     assert min(a.lo for p in SEVEN for a in slide_expansion(p)) == -6
 
 
@@ -189,7 +197,13 @@ def test_slide_peel_matches_dp_on_extended_windows():
 
 def test_flattened_sum_is_fundamental_expansion():
     for p in SMALL:
-        assert fundamental_expansion(p) == permutation_fundamentals(p), p.literal
+        fundamental = fundamental_expansion(p)
+        assert fundamental == permutation_fundamentals(p), p.literal
+        # with rho = 0 nothing is lost in flattening: the DP's indices are
+        # the fundamental ones right-justified at 0, so the verdict on
+        # [1 - m, 0] checks exactly the expansion that qsym prints
+        justified = {WeakComposition(alpha, 1 - len(alpha)): tc for alpha, tc in fundamental.items()}
+        assert _slide_dp(dyck_graph(p), (0,) * p.n) == justified, p.literal
 
 
 def test_empty_path():

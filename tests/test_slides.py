@@ -70,6 +70,8 @@ def test_models_agree_small():
         a = WeakComposition(entries, lo)
         w = Window(rng.choice([-2, -1, 1]), 4)
         assert slide_polynomial(a, w) == slide_polynomial_by_chains(a, w)
+    # the engine's cache is bounded, so a long run cannot grow it forever
+    assert slide_polynomial.cache_info().maxsize == 4096
 
 
 def test_models_agree_exhaustive_weight_4():
