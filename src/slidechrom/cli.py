@@ -314,8 +314,10 @@ def cmd_paths(args) -> CommandResult:
 
 # ---------------------------------------------------------------- sweep
 
-# worker globals: one key-to-slide row cache per process (see
-# keys.key_expansion_of_chromatic), at most C(n + r_max - 1, r_max - 1) rows
+# worker globals: one key-to-slide row cache per process, keyed by the
+# packed key index (see keys.key_expansion_of_chromatic), at most
+# C(n + r_max - 1, r_max - 1) rows; the key monomials and slide sets the
+# rows are built from stay in keys' own memos
 _SWEEP_CACHE: dict = {}
 
 

@@ -4,7 +4,10 @@ slide basis.
 A weak composition here is a finitely supported map from Z to the
 nonnegative integers; entries may sit at nonpositive indices.  Strong
 compositions (all parts positive, positions irrelevant) are plain tuples
-of positive ints.
+of positive ints.  A packed exponent vector is one int with a fixed
+number of bits per entry, the first entry in the low digit (pack,
+unpack); slide_walk builds slide sets in that form, and slide_set turns
+its ints into weak compositions.
 """
 
 from __future__ import annotations
@@ -221,41 +224,71 @@ def leq_slide(b: WeakComposition, a: WeakComposition) -> bool:
     return refines(b.flatten(), a.flatten()) and dominates(b, a)
 
 
+def pack(entries: Iterable[int], bits: int) -> int:
+    """Entries as one int, bits per entry, the first entry in the low
+    digit.  Every entry must be below 2 ** bits."""
+    x = 0
+    for k, v in enumerate(entries):
+        x |= v << (bits * k)
+    return x
+
+
+def unpack(x: int, bits: int) -> tuple[int, ...]:
+    """The entries of a packed int from the low digit up, trailing zeros
+    trimmed: pack's inverse up to trailing zeros."""
+    mask = (1 << bits) - 1
+    out = []
+    while x:
+        out.append(x & mask)
+        x >>= bits
+    return tuple(out)
+
+
+def slide_walk(parts: tuple[int, ...], prefix: list[int], bits: int) -> list[int]:
+    """The slide set as packed ints: every b on len(prefix) digits whose
+    nonzero entries refine parts and whose prefix sums are at least
+    prefix, digit k holding b's k-th entry in bits bits.
+
+    parts is flatten(a) and prefix the prefix sums of a over the window,
+    so bits >= weight(a).bit_length() keeps every entry in its digit.
+    """
+    if not parts:
+        return [0]
+    out: list[int] = []
+    last = len(parts) - 1
+
+    def walk(j: int, left: int, placed: int, start: int, x: int):
+        # the next nonzero entry, at some k >= start after a run of zeros,
+        # takes units of part j, of which left remain; every entry keeps
+        # b's prefix sum at or above a's.  Each call places at least one
+        # unit, so the depth is bounded by the weight of a.
+        for k in range(start, len(prefix)):
+            shift = bits * k
+            for v in range(max(1, prefix[k] - placed), left + 1):
+                if v < left:
+                    walk(j, left - v, placed + v, k + 1, x | v << shift)
+                elif j < last:
+                    walk(j + 1, parts[j + 1], placed + v, k + 1, x | v << shift)
+                else:
+                    out.append(x | v << shift)
+            if prefix[k] > placed:
+                break  # a zero at k would leave b's prefix sum below a's
+
+    walk(0, parts[0], 0, 0, 0)
+    return out
+
+
 def slide_set(a: WeakComposition, w: Window) -> set[WeakComposition]:
     """All b supported in w with flatten(b) refining flatten(a) and
     b dominating a in prefix sums."""
-    parts = a.flatten()
-    if not parts:
-        return {WeakComposition()}
-    if a.lo < w.lo:
+    if a.entries and a.lo < w.lo:
         return set()  # b has no weight below w.lo to dominate a with
+    bits = a.weight().bit_length()
     prefix = list(itertools.accumulate(a[i] for i in w.indices()))
-    out: set[WeakComposition] = set()
-    entries: list[int] = []  # b from w.lo on, built depth first
-
-    def walk(j: int, left: int, placed: int):
-        # the next nonzero entry, at some k after a run of zeros, takes
-        # units of part j of flatten(a), of which left remain; every entry
-        # keeps b's prefix sum at or above a's.  Each call places at least
-        # one unit, so the depth is bounded by the weight of a.
-        i = len(entries)
-        for k in range(i, len(prefix)):
-            for v in range(max(1, prefix[k] - placed), left + 1):
-                entries.append(v)
-                if v < left:
-                    walk(j, left - v, placed + v)
-                elif j + 1 < len(parts):
-                    walk(j + 1, parts[j + 1], placed + v)
-                else:
-                    out.add(WeakComposition(entries, w.lo))
-                entries.pop()
-            if prefix[k] > placed:
-                break  # a zero at k would leave b's prefix sum below a's
-            entries.append(0)
-        del entries[i:]
-
-    walk(0, parts[0], 0)
-    return out
+    return {
+        WeakComposition(unpack(x, bits), w.lo)
+        for x in slide_walk(a.flatten(), prefix, bits)
+    }
 
 
 def comp_of_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:

@@ -1,22 +1,30 @@
 """Demazure key polynomials, exact expansion of polynomials in the key
 basis, and the search for expansion coefficients with negative entries.
 
-Key polynomials live in x_1..x_r.  Inside this module an exponent is a
-plain tuple (e_1, e_2, ...) with trailing zeros trimmed, and a key
-polynomial's coefficients are plain ints (t^0 only).  The expansion
-solves the change of basis exactly over Z[t] and certifies itself by
-reducing the input to zero; a nonzero remainder raises, so a wrong
-answer cannot be returned silently.
+Key polynomials live in x_1..x_r.  Inside this module an exponent is
+one packed int (compositions.pack): 8 bits per entry, x_1 in the low
+digit, so x^e times x_i is e + (1 << 8(i - 1)).  Key monomials,
+slide-set members, key-to-slide rows and the chromatic key peel all use
+it, and key_polynomial, expand_in_keys and key_expansion_of_chromatic
+convert to and from WeakComposition at their boundaries.  An entry, and
+so every prefix sum the grade reads, must fit in a digit: each of the
+three refuses a weight above 255 with ValueError.  A key polynomial's
+coefficients are plain ints (t^0 only).  The expansion solves the change
+of basis exactly over Z[t] and certifies itself by reducing the input to
+zero; a nonzero remainder raises, so a wrong answer cannot be returned
+silently.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .chromatic import slide_expansion
-from .compositions import WeakComposition, Window, slide_set
+from .compositions import WeakComposition, Window, pack, slide_walk, unpack
 from .dyck import PartialDyckPath, scan_paths
 from .tpoly import (
     TCoeff,
@@ -28,11 +36,13 @@ from .tpoly import (
     t_to_json,
 )
 
-# trimmed exponent -> the key polynomial's (exponent, coefficient) pairs
-_KEY_CACHE: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
-# trimmed index -> the slide polynomial's exponents on [1, len(index)],
-# each with coefficient 1
-_SLIDE_CACHE: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
+_BITS = 8  # bits per entry of a packed exponent
+_DIGIT = (1 << _BITS) - 1  # one digit's mask and largest value: the largest weight
+
+# packed exponent -> the key polynomial's (packed exponent, coefficient) pairs
+_KEY_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
+# packed index -> the packed members of its slide set on [1, len(index)]
+_SLIDE_CACHE: dict[int, tuple[int, ...]] = {}
 
 
 def divided_difference(p: TPolynomial, i: int) -> TPolynomial:
@@ -71,79 +81,96 @@ def key_polynomial(a: WeakComposition, r: int) -> TPolynomial:
     Weakly decreasing exponents give the bare monomial; otherwise the
     smallest ascent is unswapped through the Demazure operator.  Results
     are memoized on the composition alone (padding with zeros on the
-    right never changes the polynomial).
+    right never changes the polynomial).  Raises ValueError for a weight
+    above 255.
     """
     if a.weight() and (a.lo < 1 or a.hi > r):
         raise ValueError(f"support of {a} outside [1, {r}]")
     return TPolynomial(
         Window(1, r),
-        {WeakComposition(e): {0: c} for e, c in _key_terms(_vector(a))},
+        {WeakComposition(unpack(e, _BITS)): {0: c} for e, c in _key_terms(_packed(a))},
     )
 
 
-def _vector(e: WeakComposition) -> tuple[int, ...]:
-    # exponents from x_1 on, trailing zeros trimmed; needs e.lo >= 1 or e zero
-    return (0,) * (e.lo - 1) + e.entries if e.entries else ()
+def _packed(e: WeakComposition) -> int:
+    # e must have e.lo >= 1 or be zero
+    if e.weight() > _DIGIT:
+        raise ValueError(f"weight of {e} above {_DIGIT}")
+    return pack(e.entries, _BITS) << _BITS * (e.lo - 1)
 
 
-def _trim(vec: tuple[int, ...]) -> tuple[int, ...]:
-    while vec and vec[-1] == 0:
-        vec = vec[:-1]
-    return vec
+def _key_terms(x: int) -> tuple[tuple[int, int], ...]:
+    """Monomials of the key polynomial of a packed exponent.
 
-
-def _key_terms(vec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Monomials of the key polynomial of a trimmed exponent vector.
-
-    kappa_vec = pi_i kappa_(s_i vec) at the smallest ascent i, with the
+    kappa_x = pi_i kappa_(s_i x) at the smallest ascent i, with the
     closed form of pi_i on a monomial x_i^p x_(i+1)^q: for p >= q the sum
     of x_i^(p-k) x_(i+1)^(q+k) over 0 <= k <= p - q, for p < q the
-    negated sum of x_i^(p+k) x_(i+1)^(q-k) over 0 < k < q - p.
+    negated sum of x_i^(p+k) x_(i+1)^(q-k) over 0 < k < q - p.  Moving
+    one unit from x_i to x_(i+1) adds step = (1 << 8i) - (1 << 8(i-1)),
+    so each sum is a range of ints.
     """
-    cached = _KEY_CACHE.get(vec)
+    cached = _KEY_CACHE.get(x)
     if cached is not None:
         return cached
+    vec = unpack(x, _BITS)
     i = next((i for i in range(len(vec) - 1) if vec[i] < vec[i + 1]), None)
     if i is None:
-        result: tuple = ((vec, 1),)
+        result: tuple = ((x, 1),)
     else:
-        swapped = vec[:i] + (vec[i + 1], vec[i]) + vec[i + 2 :]
-        width = len(vec)
-        terms: dict[tuple[int, ...], int] = {}
-        for e, c in _key_terms(_trim(swapped)):
-            e = e + (0,) * (width - len(e))
-            p, q = e[i], e[i + 1]
+        shift = _BITS * i  # x_(i+1) in 1-based terms sits at digit i
+        step = (1 << (shift + _BITS)) - (1 << shift)
+        terms: dict[int, int] = {}
+        for e, c in _key_terms(x - (vec[i + 1] - vec[i]) * step):
+            p, q = e >> shift & _DIGIT, e >> (shift + _BITS) & _DIGIT
             if p >= q:
-                shifts, sign = range(p - q + 1), 1
+                for f in range(e, e + (p - q) * step + 1, step):
+                    terms[f] = terms.get(f, 0) + c
             else:
-                shifts, sign = range(-1, p - q, -1), -1
-            for k in shifts:
-                f = _trim(e[:i] + (p - k, q + k) + e[i + 2 :])
-                terms[f] = terms.get(f, 0) + sign * c
+                for f in range(e - step, e - (q - p) * step, -step):
+                    terms[f] = terms.get(f, 0) - c
         result = tuple((e, c) for e, c in terms.items() if c)
-    _KEY_CACHE[vec] = result
+    _KEY_CACHE[x] = result
     return result
+
+
+def _grade(length: int):
+    """Peel grade of packed exponents on [1, length]: (x * ones) & mask,
+    where ones has a 1 in each of the length low digits.
+
+    Digit k of the product is e_1 + ... + e_(k+1), a prefix sum, which
+    cannot carry since the weight is at most 255.  So the grade reads the
+    prefix-sum vector from its last entry down, and its integer order is
+    reverse-lex on prefix sums.  That extends dominance: if b dominates a
+    and b != a, the first prefix sum from the top where they differ is
+    larger for b.  Every monomial of kappa_m and every slide-set member
+    of m other than m itself dominates m, so it has a strictly larger
+    grade, which is all tpoly.peel needs.
+    """
+    ones = ((1 << (_BITS * length)) - 1) // _DIGIT
+    mask = (1 << (_BITS * length)) - 1
+    return lambda x: (x * ones) & mask
 
 
 def expand_in_keys(
     p: TPolynomial, r: int
 ) -> dict[WeakComposition, TCoeff]:
-    """Write p (exponents inside [1, r]) as a Z[t]-combination of keys.
+    """Write p (exponents inside [1, r], weight at most 255) as a
+    Z[t]-combination of keys.
 
-    Peeled by tpoly.peel with the grade sum((r + 1 - i) * m_i), which
+    Peeled by tpoly.peel with the packed grade on [1, r] (_grade), which
     grows whenever a unit of exponent moves to a smaller index: every
     monomial of kappa_m other than x^m has a larger grade than m.  A
     nonzero remainder raises tpoly.ExpansionError; a zero one certifies
     that the returned coefficients are exactly the unique key-basis
     coordinates of p.
     """
-    names: dict[tuple[int, ...], WeakComposition] = {}  # reused as result keys
+    names: dict[int, WeakComposition] = {}  # reused as result keys
     for e in p.terms:
         if e.weight() and (e.lo < 1 or e.hi > r):
             raise ValueError(f"exponent {e} outside [1, {r}]")
-        names[_vector(e)] = e
-    found = peel({vec: p.terms[e] for vec, e in names.items()}, _key_terms, _key_grade(r))
-    return {names.get(m) or WeakComposition(m): tc for m, tc in found.items()}
+        names[_packed(e)] = e
+    found = peel({x: p.terms[e] for x, e in names.items()}, _key_terms, _grade(r))
+    return {names.get(m) or WeakComposition(unpack(m, _BITS)): tc for m, tc in found.items()}
 
 
 def is_key_positive(expansion: dict[WeakComposition, TCoeff]) -> bool:
@@ -186,38 +213,35 @@ class NegativeRecord:
         )
 
 
-def _slide_terms(vec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Monomials of the slide polynomial of a trimmed index on
-    [1, len(vec)], which is its slide polynomial on any [1, R] with
-    R >= len(vec): a b that dominates the index with the same weight has
-    no entry past len(vec)."""
-    cached = _SLIDE_CACHE.get(vec)
-    if cached is None:
-        cached = _SLIDE_CACHE[vec] = tuple(
-            (_vector(b), 1) for b in slide_set(WeakComposition(vec), Window(1, len(vec)))
+def _slide_terms(x: int) -> Iterator[tuple[int, int]]:
+    """Monomials of the slide polynomial of a packed index on
+    [1, len(index)], which is its slide polynomial on any [1, R] with
+    R >= len(index): a b that dominates the index with the same weight
+    has no entry past len(index).  Each has coefficient 1."""
+    members = _SLIDE_CACHE.get(x)
+    if members is None:
+        vec = unpack(x, _BITS)
+        parts = tuple(v for v in vec if v)
+        members = _SLIDE_CACHE[x] = tuple(
+            slide_walk(parts, list(itertools.accumulate(vec)), _BITS)
         )
-    return cached
+    return zip(members, itertools.repeat(1))
 
 
-def _key_grade(r: int):
-    # x_i weighs r + 1 - i: the grade grows whenever a unit of exponent
-    # moves to a smaller index
-    weights = range(r, 0, -1)
-    return lambda e: sum(map(int.__mul__, weights, e))
+def _key_slide_row(b: int) -> tuple[tuple[int, int], ...]:
+    """The slide expansion of the key polynomial of a packed index on
+    [1, len(b)], as (packed slide index, coefficient) pairs.
 
-
-def _key_slide_row(vec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The slide expansion of the key polynomial of a trimmed index on
-    [1, len(vec)], as (slide index, coefficient) pairs.
-
-    Peeled from the memoised key monomials with the key grade, which is
-    also the slide grade on [1, len(vec)].  Keys are nonnegative sums of
-    slides (Assaf-Searles), with the slide of vec itself once and every
+    Peeled from the memoised key monomials with the packed grade, which
+    is a slide grade as well as a key grade.  Keys are nonnegative sums
+    of slides (Assaf-Searles), with the slide of b itself once and every
     other slide index of a larger grade, so the rows form a unitriangular
     change of basis.
     """
     found = peel(
-        {e: {0: c} for e, c in _key_terms(vec)}, _slide_terms, _key_grade(len(vec))
+        {e: {0: c} for e, c in _key_terms(b)},
+        _slide_terms,
+        _grade(len(unpack(b, _BITS))),
     )
     return tuple((a, tc[0]) for a, tc in found.items())
 
@@ -232,29 +256,32 @@ def key_expansion_of_chromatic(
     positive window is peeled with key-to-slide rows (_key_slide_row),
     never through the assembled polynomial.  Slide polynomials on [1, R]
     are linearly independent, so the zero remainder that certifies the
-    peel certifies equality of polynomials.  The grade is the key grade;
-    every index of one peel has weight n, so any R at or above the
-    support gives the same order.
+    peel certifies equality of polynomials.  The grade is the packed
+    one (_grade); every index of one peel has weight n, so any R at or
+    above the support gives the same order.  Raises ValueError for a
+    path with more than 255 vertices, whose weight does not fit a digit.
 
-    The cache maps a trimmed key index b to (b as a WeakComposition, its
+    The cache maps a packed key index b to (b as a WeakComposition, its
     row) and can be shared across a scan: a row depends on b alone, and
     the WeakComposition is reused as the result key.  A scan over n
     vertices and r <= r_max fills at most C(n + r_max - 1, r_max - 1)
     entries, one per weak composition of n on [1, r_max].
     """
+    if path.n > _DIGIT:
+        raise ValueError(f"{path.n} vertices: key weights above {_DIGIT} do not fit")
     # slide polynomials with an index below 1 vanish on the positive window
     expansion = slide_expansion(path, lo=1)
     if not expansion:
         return {}  # about two thirds of the paths of a scan: skip the peel's set-up
     cache = _key_slide_cache if _key_slide_cache is not None else {}
 
-    def row(b: tuple[int, ...]):
+    def row(b: int):
         if b not in cache:
-            cache[b] = (WeakComposition(b), _key_slide_row(b))
+            cache[b] = (WeakComposition(unpack(b, _BITS)), _key_slide_row(b))
         return cache[b][1]
 
-    terms = {_vector(a): tc for a, tc in expansion.items()}
-    found = peel(terms, row, _key_grade(max(map(len, terms))))
+    terms = {_packed(a): tc for a, tc in expansion.items()}
+    found = peel(terms, row, _grade(max(a.hi for a in expansion)))
     return {cache[b][0]: tc for b, tc in found.items()}
 
 

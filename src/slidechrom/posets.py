@@ -41,6 +41,11 @@ class LabeledPoset:
                 raise ValueError(
                     f"relation not transitive: ({a},{b}),({b},{d}) without ({a},{d})"
                 )
+        self._label(n, rel, omega, rho)
+
+    def _label(self, n, rel, omega, rho):
+        # checks omega and rho and sets every field; rel is taken as a
+        # strict order on 1..n
         if omega is not None:
             omega = tuple(omega)
             if sorted(omega) != list(range(1, n + 1)):
@@ -59,12 +64,19 @@ class LabeledPoset:
 
     @classmethod
     def chain(cls, pi: Sequence[int], omega=None, rho=None) -> "LabeledPoset":
-        """Linear order pi[0] < pi[1] < ... as a poset."""
+        """Linear order pi[0] < pi[1] < ... as a poset.
+
+        The order of a permutation of 1..n is irreflexive, antisymmetric
+        and transitive by construction, so once pi is checked to be one,
+        the general constructor's checks of the relation are skipped;
+        omega and rho are checked as there.
+        """
         n = len(pi)
-        less = {
-            (pi[i], pi[j]) for i in range(n) for j in range(i + 1, n)
-        }
-        return cls(n, less, omega, rho)
+        if sorted(pi) != list(range(1, n + 1)):
+            raise ValueError(f"chain {tuple(pi)} is not a permutation of 1..{n}")
+        self = object.__new__(cls)
+        self._label(n, frozenset((pi[i], pi[j]) for i in range(n) for j in range(i + 1, n)), omega, rho)
+        return self
 
     def is_less(self, a: int, b: int) -> bool:
         return (a, b) in self.less

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slidechrom import (
     WeakComposition,
@@ -14,6 +15,7 @@ from slidechrom import (
     subset_of_comp,
     transpose,
 )
+from slidechrom.compositions import pack, slide_walk, unpack
 
 
 def wc(entries, lo=1):
@@ -281,3 +283,45 @@ def test_slide_set_triangular():
     members = slide_set(a, w)
     for b in members:
         assert slide_set(b, w) <= members
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    entries=st.lists(st.integers(0, 3), max_size=5),
+    a_lo=st.integers(-2, 2),
+    lo=st.integers(-2, 3),
+    width=st.integers(0, 5),
+    spare_bits=st.integers(0, 3),
+)
+def test_slide_walk_matches_definition(entries, a_lo, lo, width, spare_bits):
+    # the packed walk, at its least digit width and wider, and slide_set
+    # both give the definition's set on windows with nonpositive indices
+    a = wc(entries, lo=a_lo)
+    w = Window(lo, lo + width - 1)
+    window_comps = (wc(f, lo=lo) for f in _weak(a.weight(), width))
+    expected = {b for b in window_comps if leq_slide(b, a)}
+    assert slide_set(a, w) == expected, (a, w)
+    if a.is_zero() or a.lo >= w.lo:  # slide_set's own case otherwise
+        bits = a.weight().bit_length() + spare_bits
+        prefix = list(itertools.accumulate(a[i] for i in w.indices()))
+        packed = slide_walk(a.flatten(), prefix, bits)
+        assert len(set(packed)) == len(packed)
+        assert {wc(unpack(x, bits), lo=lo) for x in packed} == expected, (a, w, bits)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda bits: st.tuples(st.just(bits), st.lists(st.integers(0, (1 << bits) - 1), max_size=12))
+    )
+)
+def test_pack_round_trips(case):
+    bits, entries = case
+    x = pack(entries, bits)
+    trimmed = tuple(entries)
+    while trimmed and trimmed[-1] == 0:
+        trimmed = trimmed[:-1]
+    assert unpack(x, bits) == trimmed
+    assert pack(unpack(x, bits), bits) == x
+    # digit k holds entry k
+    assert all(x >> (bits * k) & ((1 << bits) - 1) == v for k, v in enumerate(entries))

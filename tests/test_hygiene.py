@@ -3,7 +3,8 @@ module: no module of the package, its tests or its demos imports a name it
 never uses, every name in __all__ resolves, and every definition is
 referenced somewhere in the repository, and only the oracles are referenced
 from tests alone.  Importing the package and its
-CLI also leaves the process pool's module unloaded."""
+CLI also leaves the process pool's module unloaded, and the benchmark's
+tracer finds every name it wraps."""
 
 import ast
 import os
@@ -165,3 +166,13 @@ def test_import_leaves_the_process_pool_unloaded():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_bench_tracer_resolves_every_target():
+    # bench/tracer.py wraps package functions and reads keys._KEY_CACHE
+    # and slide_polynomial.cache_info by name; one it cannot find fails
+    # every item of a traced benchmark run
+    code = "import tracer; print(tracer.install().unresolved)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), str(ROOT / "bench")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

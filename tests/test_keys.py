@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -25,11 +27,17 @@ from slidechrom import (
 )
 from slidechrom import keys
 from slidechrom.chromatic import slide_expansion
+from slidechrom.compositions import pack, unpack
 from slidechrom.tpoly import ExpansionError, combine
 
 
 def wc(entries, lo=1):
     return WeakComposition(tuple(entries), lo)
+
+
+def packed(entries):
+    # the key layer's exponent: 8 bits per entry, x_1 in the low digit
+    return pack(entries, 8)
 
 
 def x(i, w):
@@ -188,7 +196,7 @@ def test_expand_in_keys_random_round_trip():
 
 def test_expand_in_keys_nonzero_remainder_raises(monkeypatch):
     # a corrupted key polynomial (leading coefficient 2) cannot peel x2
-    monkeypatch.setitem(keys._KEY_CACHE, (0, 1), (((0, 1), 2), ((1,), 1)))
+    monkeypatch.setitem(keys._KEY_CACHE, packed((0, 1)), ((packed((0, 1)), 2), (packed((1,)), 1)))
     with pytest.raises(ExpansionError, match="remainder"):
         expand_in_keys(x(2, Window(1, 2)), 2)
 
@@ -208,8 +216,8 @@ def test_keys_are_slide_positive():
             assert combine(exp, lambda b: slide_polynomial(b, w).terms.items()) == kappa.terms
             # the key-to-slide row key_expansion_of_chromatic peels with,
             # built on [1, len(b)], is the same expansion
-            row = keys._key_slide_row(keys._trim(entries))
-            assert {wc(a): {0: c} for a, c in row} == exp
+            row = keys._key_slide_row(packed(entries))
+            assert {wc(unpack(a, 8)): {0: c} for a, c in row} == exp
             checked += 1
     assert checked == 456
 
@@ -265,17 +273,57 @@ def test_key_expansion_matches_slide_to_key_rows():
     "b, corrupt, msg",
     [
         # leading coefficient 2: the slide of (1, 1, 1) is never cleared
-        ((1, 1, 1), lambda row: tuple((a, 2 if a == (1, 1, 1) else c) for a, c in row), "remainder"),
+        (
+            (1, 1, 1),
+            lambda row: tuple((a, 2 if a == packed((1, 1, 1)) else c) for a, c in row),
+            "remainder",
+        ),
         # a slide of smaller grade than the key: (1, 1, 1) comes back
-        ((2, 0, 1), lambda row: row + (((1, 1, 1), 1),), "peeled twice"),
+        ((2, 0, 1), lambda row: row + ((packed((1, 1, 1)), 1),), "peeled twice"),
     ],
 )
 def test_corrupted_key_slide_row_raises(monkeypatch, b, corrupt, msg):
     # ENEENENEE@3,3 peels kappa(1,1,1), then kappa(2,0,1)
     real = keys._key_slide_row
-    monkeypatch.setattr(keys, "_key_slide_row", lambda v: corrupt(real(v)) if v == b else real(v))
+    monkeypatch.setattr(
+        keys, "_key_slide_row", lambda v: corrupt(real(v)) if v == packed(b) else real(v)
+    )
     with pytest.raises(ExpansionError, match=msg):
         key_expansion_of_chromatic(PartialDyckPath.parse("ENEENENEE@3,3"))
+
+
+def test_key_slide_rows_of_weight_six_are_pinned():
+    # every row of weight 6, on [1, len b], as representation-free JSON:
+    # the digest the tuple-exponent key layer gave
+    rows = sorted(
+        [list(unpack(b, 8)), sorted([list(unpack(a, 8)), c] for a, c in keys._key_slide_row(b))]
+        for b in (packed(e) for e in itertools.product(range(7), repeat=6) if sum(e) == 6)
+    )
+    assert len(rows) == 462
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "d4aaac13f9769b2f206494edb54dd08daf569b9fa6c329ed090f08064cda36b9"
+
+
+def test_weight_above_255_is_refused():
+    # a packed entry, and every prefix sum the peel grade reads, is one
+    # 8-bit digit; 255 still fits, with no carry into the next digit
+    w = Window(1, 2)
+    assert expand_in_keys(key_polynomial(wc([0, 255]), 2), 2) == {wc([0, 255]): {0: 1}}
+    # kappa(0, 255) is every monomial of weight 255 in x1, x2: one slide
+    assert len(key_polynomial(wc([0, 255]), 2).terms) == 256
+    assert keys._key_slide_row(packed((0, 255))) == ((packed((0, 255)), 1),)
+    # x1 x2^254 = kappa(1, 254) - kappa(2, 253) - kappa(254, 1)
+    assert expand_in_keys(TPolynomial.monomial(wc([1, 254]), w), 2) == {
+        wc([1, 254]): {0: 1}, wc([2, 253]): {0: -1}, wc([254, 1]): {0: -1}
+    }
+    with pytest.raises(ValueError, match="above 255"):
+        key_polynomial(wc([256]), 1)
+    with pytest.raises(ValueError, match="above 255"):
+        key_polynomial(wc([128, 128]), 2)
+    with pytest.raises(ValueError, match="above 255"):
+        expand_in_keys(TPolynomial.monomial(wc([0, 256]), w), 2)
+    with pytest.raises(ValueError, match="above 255"):
+        key_expansion_of_chromatic(PartialDyckPath("NE" * 256, 256, 0))
 
 
 def test_is_key_positive():

@@ -59,6 +59,24 @@ def test_chain_poset():
     assert C.is_less(2, 1) and C.is_less(1, 3) and C.is_less(2, 3)
 
 
+def test_chain_is_the_checked_poset():
+    # chain skips the relation checks: it must build what the checking
+    # constructor builds, and still refuse what that one refuses
+    for n in range(5):
+        for pi in itertools.permutations(range(1, n + 1)):
+            less = {(pi[i], pi[j]) for i in range(n) for j in range(i + 1, n)}
+            omega, rho = pi[::-1], tuple(range(n))
+            assert LabeledPoset.chain(pi, omega, rho) == LabeledPoset(n, less, omega, rho)
+            assert LabeledPoset.chain(pi) == LabeledPoset(n, less)
+    for pi in ((1, 1), (1, 3), (0, 1), (2, 1, 2)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            LabeledPoset.chain(pi)
+    with pytest.raises(ValueError, match="omega"):
+        LabeledPoset.chain((2, 1), omega=(1, 1))
+    with pytest.raises(ValueError, match="rho"):
+        LabeledPoset.chain((2, 1), rho=(1,))
+
+
 # ------------------------------------------------------------ orientations
 
 
