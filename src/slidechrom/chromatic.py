@@ -2,7 +2,9 @@
 independent ways: brute-force over bounded proper colorings, and as a
 permutation sum of slide polynomials, evaluated by a dynamic program
 over subsets.  Each route is a private core over (graph, rho) behind a
-public function of the path.  The fundamental expansion of the
+public function of the path; the cores work on packed ints and are
+compared as {int: int} dicts, and a TPolynomial is built only at the
+public boundary (_polynomial).  The fundamental expansion of the
 nonpositive-variable specialization is the same DP with rho = 0.
 """
 
@@ -12,60 +14,63 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .compositions import WeakComposition, Window
+from .compositions import WeakComposition, Window, unpack
 from .dyck import DyckGraph, PartialDyckPath, dyck_graph, restriction_map
-from .slides import slide_polynomial
-from .tpoly import TCoeff, TPolynomial, combine
+from .slides import packed_slide_set
+from .tpoly import TCoeff, TPolynomial
 
 
 def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
     """Sum of t^(descents) x_{f(1)}..x_{f(n)} over proper colorings f with
     w.lo <= f(i) <= min(rho(i), w.hi).  A descent is an edge {i,j}, i<j,
     with f(i) > f(j)."""
-    return _brute(dyck_graph(path), restriction_map(path), w)
+    graph = dyck_graph(path)
+    return _polynomial(_brute(graph, restriction_map(path), w), w, graph.n)
 
 
-def _brute(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> TPolynomial:
-    """chromatic_brute on the graph with bounds rho.  The walk keeps the
-    color counts of the colored vertices in one list, so a leaf keys its
-    t-coefficient by that list as a tuple; one WeakComposition is built
-    per distinct exponent at the end."""
+def _brute(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> dict[int, int]:
+    """chromatic_brute on the graph with bounds rho, packed as in
+    _polynomial.  The walk visits every proper coloring.  It keeps the
+    color counts as one int, n.bit_length() bits per color with color
+    w.lo in the low digit, so coloring a vertex c adds one unit at c's
+    digit, and t^(descents) as the bit at slot * descents (_t_slot).
+    The last vertex is a loop in its parent's call, which adds that bit
+    to the entry of each completed count."""
     n = graph.n
-    nbrs_before = {
-        v: [u for u in range(1, v) if (u, v) in graph.edges]
-        for v in range(1, n + 1)
-    }
-    found: dict[tuple[int, ...], TCoeff] = {}
-    f = [0] * (n + 1)
-    counts = [0] * (w.hi - w.lo + 1)  # counts[c - w.lo]: vertices colored c
+    if n == 0:
+        return {0: 1}
+    bits, slot = n.bit_length(), _t_slot(n)
+    # vertex v + 1 is index v: its colors with their count units, and its
+    # neighbours with smaller labels
+    colors = [
+        [(c, 1 << bits * (c - w.lo)) for c in range(w.lo, min(rho[v], w.hi) + 1)]
+        for v in range(n)
+    ]
+    nbrs = [[u for u in range(v) if (u + 1, v + 1) in graph.edges] for v in range(n)]
+    found: dict[int, int] = {}
+    get = found.get
+    f = [0] * n
 
-    def rec(v: int, des: int):
-        if v > n:
-            tc = found.setdefault(tuple(counts), {})
-            tc[des] = tc.get(des, 0) + 1
+    def rec(v: int, x: int, tp: int):
+        # colors ascend, so above counts the neighbours' colors above c
+        used = [f[u] for u in nbrs[v]]
+        above = len(used)
+        if v == n - 1:
+            for c, unit in colors[v]:
+                if c in used:
+                    above -= used.count(c)
+                else:
+                    found[x + unit] = get(x + unit, 0) + (tp << slot * above)
             return
-        hi = min(rho[v - 1], w.hi)
-        for c in range(w.lo, hi + 1):
-            bump = 0
-            ok = True
-            for u in nbrs_before[v]:
-                if f[u] == c:
-                    ok = False
-                    break
-                if f[u] > c:
-                    bump += 1
-            if ok:
+        for c, unit in colors[v]:
+            if c in used:
+                above -= used.count(c)
+            else:
                 f[v] = c
-                counts[c - w.lo] += 1
-                rec(v + 1, des + bump)
-                counts[c - w.lo] -= 1
-        return
+                rec(v + 1, x + unit, tp << slot * above)
 
-    rec(1, 0)
-    # counts span w and every count and t-entry is positive: canonical
-    return TPolynomial._canonical(
-        w, {WeakComposition(e, w.lo): tc for e, tc in found.items()}
-    )
+    rec(0, 0, 1)
+    return found
 
 
 def slide_expansion(
@@ -75,13 +80,15 @@ def slide_expansion(
     mapped to the sum of t^(graph inversions of pi) over the permutations
     pi whose descent composition it is.  With lo given, only the indices
     whose blocks all sit at lo or above."""
-    return _slide_dp(dyck_graph(path), restriction_map(path), lo)
+    graph = dyck_graph(path)
+    return _expansion(_packed_dp(graph, restriction_map(path), lo), graph.n)
 
 
-def _slide_dp(
-    graph: DyckGraph, rho: tuple[int, ...], lo: int | None = None
-) -> dict[WeakComposition, TCoeff]:
-    """slide_expansion on the graph with bounds rho.
+def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int | None = None) -> list[tuple[tuple, int]]:
+    """slide_expansion on the graph with bounds rho, packed: a list of
+    distinct indices, each as its (index, size) blocks in increasing
+    index order, with its coefficient packed as in _t_slot (see
+    _expansion).
 
     A dynamic program over subsets (the transfer-matrix method) stands in
     for the loop over all n! permutations.  pi is built backwards from
@@ -103,8 +110,9 @@ def _slide_dp(
     t^k times a coefficient is a shift and merging two states is one
     addition.  Each closed block is a field (index + n - 1, size), and
     the field of the front block sits in the lowest bits; it is packed
-    only when a block closes.  Both are unpacked once per distinct index
-    at the end, where the block indices are checked to increase strictly.
+    only when a block closes.  The blocks are unpacked once per distinct
+    index at the end, where their indices are checked to increase
+    strictly.
 
     With lo given, only the indices whose blocks all sit at lo or above
     are computed.  Bounds never increase as pi grows, so a state whose
@@ -118,9 +126,9 @@ def _slide_dp(
     """
     n = graph.n
     if n == 0:
-        return {WeakComposition(): {0: 1}}
+        return [((), 1)]
     if lo is not None and min(rho) < lo:
-        return {}
+        return []
     full = (1 << n) - 1
     # vertex v + 1 is bit v: above[v] holds the later vertices not
     # adjacent to v, lower_nbrs[u] the neighbours of u with smaller labels
@@ -139,7 +147,7 @@ def _slide_dp(
     size_mask = (1 << size_bits) - 1
     block_mask = (1 << block_bits) - 1
 
-    def unpack_blocks(closed: int) -> list[tuple[int, int]]:
+    def unpack_blocks(closed: int) -> tuple[tuple[int, int], ...]:
         blocks = []
         while closed:
             blocks.append((((closed & block_mask) >> size_bits) - off, closed & size_mask))
@@ -147,7 +155,7 @@ def _slide_dp(
         indices = [i for i, _ in blocks]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise RuntimeError(f"block indices {indices} not strictly increasing")
-        return blocks
+        return tuple(blocks)
 
     # the front vertex is v, at bit v
     layer = {(1 << u, u, rho[u], 1, 0): 1 for u in range(n)}
@@ -176,16 +184,22 @@ def _slide_dp(
     for (_, _, bound, size, closed), tc in layer.items():
         closed = (closed << block_bits) | ((bound + off) << size_bits) | size
         packed[closed] = packed.get(closed, 0) + tc
-    return {
-        WeakComposition.from_items(unpack_blocks(closed)): _t_unpack(tc, slot)
-        for closed, tc in packed.items()
-    }
+    return [(unpack_blocks(closed), tc) for closed, tc in packed.items()]
 
 
 def _t_slot(n: int) -> int:
-    """Bits per t-degree in _slide_dp's packed coefficients.  Each
-    coefficient counts permutations of n letters, at most n! of them, so
-    a slot of n!'s bit length never carries into the next degree."""
+    """Bits per t-degree in a packed coefficient: n!'s bit length.
+
+    Packed equality of the two chromatic routes is polynomial equality
+    only if no slot carries into the next degree, that is if every
+    coefficient of x^b t^d stays at or below n!.  In _packed_dp a
+    coefficient counts permutations of n letters.  In _brute it counts
+    the colorings with exponent b, at most the multinomial
+    n! / prod(b_c!) <= n!.  In _via_slides each permutation pi lands in
+    exactly one DP index (the DP conserves mass) and adds t^(inv pi) once
+    per member of that index's slide set, whose members are distinct, so
+    it adds at most 1 to any (b, d), and the sum is at most n! too.
+    """
     return math.factorial(n).bit_length()
 
 
@@ -203,26 +217,46 @@ def _t_unpack(packed: int, slot: int) -> TCoeff:
     return tc
 
 
+def _expansion(dp: list[tuple[tuple, int]], n: int) -> dict[WeakComposition, TCoeff]:
+    """A packed expansion of weight n (_packed_dp) as WeakComposition
+    indices with t-coefficients."""
+    slot = _t_slot(n)
+    return {WeakComposition.from_items(blocks): _t_unpack(tc, slot) for blocks, tc in dp}
+
+
+def _polynomial(packed: dict[int, int], w: Window, n: int) -> TPolynomial:
+    """The polynomial on w of a packed {exponent: coefficient} dict of
+    weight n: exponent digits of n.bit_length() bits, index w.lo in the
+    low digit (compositions.pack), coefficients as in _t_slot."""
+    bits, slot = n.bit_length(), _t_slot(n)
+    # every exponent lies in w and every packed coefficient is positive
+    terms = {WeakComposition(unpack(x, bits), w.lo): _t_unpack(tc, slot) for x, tc in packed.items()}
+    return TPolynomial._canonical(w, terms)
+
+
 def chromatic_via_slides(
     path: PartialDyckPath, w: Window
 ) -> tuple[TPolynomial, dict[WeakComposition, TCoeff]]:
     """Permutation sum: t^(graph inversions of pi) times the slide
     polynomial of pi's descent composition.  Returns the polynomial on w
-    and the slide expansion it was assembled from."""
-    return _via_slides(dyck_graph(path), restriction_map(path), w)
-
-
-def _via_slides(
-    graph: DyckGraph, rho: tuple[int, ...], w: Window
-) -> tuple[TPolynomial, dict[WeakComposition, TCoeff]]:
-    """chromatic_via_slides on the graph with bounds rho.  The expansion
-    is _slide_dp(graph, rho, lo=w.lo): it leaves out the indices with a
+    and the slide expansion it was assembled from: the indices with no
     block below w.lo, whose slide polynomials vanish on w because a slide
     only moves mass to smaller indices."""
-    expansion = _slide_dp(graph, rho, w.lo)
-    # combine drops zero entries, and every slide polynomial on w lies in w
-    terms = combine(expansion, lambda rd: slide_polynomial(rd, w).terms.items())
-    return TPolynomial._canonical(w, terms), expansion
+    graph = dyck_graph(path)
+    dp = _packed_dp(graph, restriction_map(path), w.lo)
+    return _polynomial(_via_slides(dp, w), w, graph.n), _expansion(dp, graph.n)
+
+
+def _via_slides(dp: list[tuple[tuple, int]], w: Window) -> dict[int, int]:
+    """The slide sum of a packed expansion (_packed_dp with lo=w.lo) on
+    w, packed: each index's packed coefficient added once per packed
+    member of its slide set."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for blocks, tc in dp:
+        for x in packed_slide_set(blocks, w):
+            acc[x] = get(x, 0) + tc
+    return acc
 
 
 @dataclass
@@ -247,28 +281,23 @@ class ChromaticReport:
 
 
 def compare_chromatic(path: PartialDyckPath, w: Window) -> ChromaticReport:
-    """Run both routes on one graph and rho; report equality and positivity."""
+    """Run both routes on one graph and rho; report equality and positivity.
+    The routes are compared packed (see _t_slot) and converted once."""
     graph, rho = dyck_graph(path), restriction_map(path)
-    brute = _brute(graph, rho, w)
-    via, _ = _via_slides(graph, rho, w)
-    # both are canonical, so equal terms mean equal polynomials
-    equal = brute == via
+    packed = _brute(graph, rho, w)
+    summed = _via_slides(_packed_dp(graph, rho, w.lo), w)
+    equal = packed == summed
+    brute = _polynomial(packed, w, graph.n)
     mismatches = []
-    if not equal:
-        mismatches = sorted(
-            (brute - via).terms.items(), key=lambda it: (it[0].lo, it[0].entries)
-        )
-    nonneg = all(
-        c >= 0 for tc in brute.terms.values() for c in tc.values()
-    )
+    if equal:
+        via = TPolynomial._canonical(w, {e: dict(tc) for e, tc in brute.terms.items()})
+    else:
+        via = _polynomial(summed, w, graph.n)
+        mismatches = sorted((brute - via).terms.items(), key=lambda it: (it[0].lo, it[0].entries))
+    nonneg = all(c >= 0 for tc in brute.terms.values() for c in tc.values())
     return ChromaticReport(
-        path=path,
-        window=w,
-        brute=brute,
-        via_slides=via,
-        equal=equal,
-        nonnegative=nonneg,
-        mismatches=mismatches,
+        path=path, window=w, brute=brute, via_slides=via,
+        equal=equal, nonnegative=nonneg, mismatches=mismatches,
     )
 
 
@@ -279,7 +308,8 @@ def fundamental_expansion(path: PartialDyckPath) -> dict[tuple[int, ...], TCoeff
     caps anything, so it is the slide expansion of the Dyck graph with
     rho = 0, whose indices are the fundamental ones right-justified at 0."""
     graph = dyck_graph(path)
-    return {a.flatten(): tc for a, tc in _slide_dp(graph, (0,) * graph.n).items()}
+    expansion = _expansion(_packed_dp(graph, (0,) * graph.n), graph.n)
+    return {a.flatten(): tc for a, tc in expansion.items()}
 
 
 def verify_fundamental_expansion(path: PartialDyckPath, m: int) -> bool:
@@ -296,7 +326,7 @@ def _verdict(graph: DyckGraph, m: int) -> bool:
     """Both chromatic routes of the graph with rho = 0 on [1-m, 0]."""
     zeros = (0,) * graph.n
     w = Window(1 - m, 0)
-    return _brute(graph, zeros, w) == _via_slides(graph, zeros, w)[0]
+    return _brute(graph, zeros, w) == _via_slides(_packed_dp(graph, zeros, w.lo), w)
 
 
 def verify_backstable(path: PartialDyckPath, m: int) -> ChromaticReport:

@@ -8,21 +8,41 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .compositions import WeakComposition, Window, slide_set
+from .compositions import WeakComposition, Window, slide_walk, unpack
 from .tpoly import TCoeff, TPolynomial, peel
 
 
-# bounded so a long-running process cannot grow it without limit; no
-# sweep or benchmark list meets more than a few hundred indices
+# Both caches are bounded so a long-running process cannot grow them
+# without limit; no sweep or benchmark list meets more than a few hundred
+# (index, window) pairs.
 @lru_cache(maxsize=4096)
 def slide_polynomial(a: WeakComposition, w: Window) -> TPolynomial:
     """Sum of x^b over the slide set of a inside the window.
 
-    Enumerates dominated refinements directly; see
+    Enumerates dominated refinements directly (packed_slide_set); see
     slide_polynomial_by_chains for the independent model.
     """
-    # slide_set yields distinct exponents inside w
-    return TPolynomial._canonical(w, {b: {0: 1} for b in slide_set(a, w)})
+    bits = a.weight().bit_length()
+    members = packed_slide_set(tuple(a.items()), w)
+    # the members are distinct exponents inside w
+    return TPolynomial._canonical(w, {WeakComposition(unpack(x, bits), w.lo): {0: 1} for x in members})
+
+
+@lru_cache(maxsize=4096)
+def packed_slide_set(blocks: tuple[tuple[int, int], ...], w: Window) -> tuple[int, ...]:
+    """The slide set on w of the index whose nonzero entries are the
+    (index, entry) blocks, in increasing index order, as distinct packed
+    ints (compositions.slide_walk): weight.bit_length() bits per entry,
+    index w.lo in the low digit."""
+    if blocks and blocks[0][0] < w.lo:
+        return ()  # b has no weight below w.lo to dominate the index with
+    entries = dict(blocks)
+    prefix, placed = [], 0
+    for i in w.indices():
+        placed += entries.get(i, 0)
+        prefix.append(placed)
+    parts = tuple(v for _, v in blocks)
+    return tuple(slide_walk(parts, prefix, sum(parts).bit_length()))
 
 
 def slide_polynomial_by_chains(a: WeakComposition, w: Window) -> TPolynomial:

@@ -17,7 +17,6 @@ from slidechrom import (
     WeakComposition,
     Window,
     compare_chromatic,
-    descent_composition,
     descent_composition_by_labels,
     dyck_graph,
     enumerate_paths,
@@ -207,7 +206,7 @@ def test_08_fundamental_truncations(capsys, cold_graph_memos):
     report(capsys, 8, "fundamental expansion n<=4 r<=3 m=n", ok, t0, budget=300)
 
 
-def test_09_descent_lemmas_exhaustive(capsys):
+def test_09_descent_lemmas_exhaustive(capsys, permutation_rows):
     t0 = time.time()
     ok = True
     for n in range(1, 6):
@@ -217,7 +216,8 @@ def test_09_descent_lemmas_exhaustive(capsys):
                 g = dyck_graph(p)
                 P = incomparability_poset(g)
                 rho = restriction_map(p)
-                for pi in itertools.permutations(range(1, n + 1)):
+                # every permutation with its descent_composition(pi, rho, P)
+                for pi, rd, _ in permutation_rows(p):
                     o = orientation_from_perm(g, pi)
                     om = omega_labeling(g, o)
                     # descent biconditional: poset drop at i <=> label ascent
@@ -229,7 +229,6 @@ def test_09_descent_lemmas_exhaustive(capsys):
                     # single-chain generating function is one slide polynomial
                     chain = LabeledPoset.chain(pi, omega=om, rho=rho)
                     gf = partition_generating_function(chain, w)
-                    rd = descent_composition(pi, rho, P)
                     if rd != descent_composition_by_labels(pi, rho, om):
                         ok = False
                     if gf != slide_polynomial(rd, w):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 from slidechrom import chromatic
 from slidechrom import (
@@ -54,13 +55,13 @@ def test_via_slides_returns_the_indices_that_survive_on_the_window():
 
 def test_sweep_checks_build_only_the_window_indices(monkeypatch):
     calls = []
-    full = chromatic._slide_dp
+    full = chromatic._packed_dp
 
     def recording(graph, rho, lo=None):
         calls.append(lo)
         return full(graph, rho, lo)
 
-    monkeypatch.setattr(chromatic, "_slide_dp", recording)
+    monkeypatch.setattr(chromatic, "_packed_dp", recording)
     p = PartialDyckPath.parse("ENEEENENEENNEENEE@6,5")
     assert _sweep_one(("theorem", p.literal, 6))["ok"]
     assert calls == [1]
@@ -70,7 +71,7 @@ def test_sweep_checks_build_only_the_window_indices(monkeypatch):
     calls.clear()
     rep = compare_chromatic(p, Window(1, p.r))
     assert calls == [1]
-    assert rep.expansion == full(dyck_graph(p), restriction_map(p))
+    assert rep.expansion == chromatic._expansion(full(dyck_graph(p), restriction_map(p)), p.n)
     assert calls == [1, None]
     assert rep.expansion is rep.expansion  # computed once
     assert calls == [1, None]
@@ -163,17 +164,7 @@ def test_engine_polynomials_are_canonical():
                         _assert_canonical(slide_polynomial(a, w), w)
 
 
-def test_mismatch_is_reported(monkeypatch, capsys):
-    # a slide polynomial with one coefficient doubled breaks the theorem
-    true_slide = chromatic.slide_polynomial
-
-    def doubled(a, w):
-        terms = dict(true_slide(a, w).terms)
-        e = min(terms, key=lambda e: (e.lo, e.entries))
-        terms[e] = {d: 2 * c for d, c in terms[e].items()}
-        return TPolynomial(w, terms)
-
-    monkeypatch.setattr(chromatic, "slide_polynomial", doubled)
+def _assert_mismatch_reported(capsys):
     rep = compare_chromatic(THREE, Window(1, 3))
     assert rep.equal is False
     diff = rep.brute - rep.via_slides
@@ -183,6 +174,38 @@ def test_mismatch_is_reported(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 1 and doc["status"] == "mismatch"
     assert doc["payload"]["equal"] is False and "mismatches" in doc["payload"]
+
+
+def test_mismatch_is_reported(monkeypatch, capsys):
+    # the slide expansion with the coefficient of its least index doubled
+    # breaks the theorem
+    true_dp = chromatic._packed_dp
+
+    def doubled(graph, rho, lo=None):
+        (least, tc), *rest = sorted(true_dp(graph, rho, lo))
+        return [(least, 2 * tc), *rest]
+
+    monkeypatch.setattr(chromatic, "_packed_dp", doubled)
+    _assert_mismatch_reported(capsys)
+
+
+def test_duplicated_slide_member_is_reported(monkeypatch, capsys):
+    # one member of one slide set, the first nonempty one the slide sum
+    # reads, listed twice: the packed sum adds its coefficient once more,
+    # and packed equality must see it
+    true_set = chromatic.packed_slide_set
+    faulty = []
+
+    def duplicated(blocks, w):
+        members = true_set(blocks, w)
+        if members and faulty in ([], [(blocks, w)]):
+            faulty[:] = [(blocks, w)]
+            return members + members[:1]
+        return members
+
+    monkeypatch.setattr(chromatic, "packed_slide_set", duplicated)
+    _assert_mismatch_reported(capsys)
+    assert len(faulty) == 1
 
 
 def test_theorem_equality_small_sweep():
@@ -268,3 +291,42 @@ def test_expansion_keys_are_descent_compositions():
     for a in slide_expansion(p):
         assert a.weight() == 6
         assert a.lo >= 1 - 6
+
+
+def test_slot_holds_n_factorial_in_both_routes():
+    # the edgeless graph with rho = 0 has every coloring of [1 - n, 0]
+    # proper and none with a descent, so x_(1-n)..x_0 counts all n! bijections:
+    # the largest coefficient a slot must hold, compared packed
+    for n in range(1, 8):
+        p = PartialDyckPath.parse("NE" * n + f"@{n},0")
+        graph, zeros, w = dyck_graph(p), restriction_map(p), Window(1 - n, 0)
+        assert not graph.edges and zeros == (0,) * n
+        ones = sum(1 << n.bit_length() * k for k in range(n))
+        brute = chromatic._brute(graph, zeros, w)
+        assert brute[ones] == math.factorial(n) < 1 << chromatic._t_slot(n)
+        assert chromatic._via_slides(chromatic._packed_dp(graph, zeros, w.lo), w) == brute
+        rep = compare_chromatic(p, w)
+        assert rep.equal and rep.brute == rep.via_slides
+        assert rep.brute.terms[wc([1] * n, 1 - n)] == {0: math.factorial(n)}
+        assert verify_fundamental_expansion(p, n)
+
+
+def test_empty_path_window_and_m():
+    # n = 0 is the one empty coloring; the empty window has no coloring
+    # of a vertex; m = 0 leaves verify_backstable the theorem's window
+    empty = PartialDyckPath("EE", 0, 2)
+    for w in (Window(1, 2), Window(-1, 2), Window(1, 0)):
+        rep = compare_chromatic(empty, w)
+        assert rep.ok and rep.brute.terms == rep.via_slides.terms == {WeakComposition(): {0: 1}}
+    for m in (0, 1, 2):
+        assert verify_fundamental_expansion(empty, m)
+        assert verify_backstable(empty, m).ok
+    for n in range(1, 4):
+        for r in range(3):
+            for p in enumerate_paths(n, r):
+                rep = compare_chromatic(p, Window(1, 0))
+                assert rep.ok and rep.brute.is_zero() and rep.via_slides.is_zero(), p.literal
+                assert verify_fundamental_expansion(p, 0), p.literal
+                rep = verify_backstable(p, 0)
+                assert rep.window == Window(1, r) and rep.ok, p.literal
+                assert rep.brute == compare_chromatic(p, Window(1, r)).brute, p.literal

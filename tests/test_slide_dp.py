@@ -24,7 +24,7 @@ from slidechrom import (
     slide_expansion,
     transpose,
 )
-from slidechrom.chromatic import _slide_dp, _t_slot, _t_unpack
+from slidechrom.chromatic import _expansion, _packed_dp, _t_slot, _t_unpack
 
 SMALL = [p for n in range(6) for r in range(5) for p in enumerate_paths(n, r)]
 # every 50th six-vertex path in scan order (r ascending, words lexicographic)
@@ -102,13 +102,17 @@ def part_from(expansion, lo):
     return {a: tc for a, tc in expansion.items() if a.weight() == 0 or a.lo >= lo}
 
 
-def test_small_paths_match_permutation_sum():
+def test_small_paths_match_permutation_sum(permutation_rows):
     # lo = 1 is the theorem's window; lo = 1 - m the backstable windows
     # of verify_backstable, and lo = 2 a chromatic --window starting at 2
     assert len(SMALL) == 2870
     for p in SMALL:
         full = slide_expansion(p)
-        assert full == permutation_sum(p), p.literal
+        # the permutation sum, from the session's shared rows
+        summed = {}
+        for _, rd, inv in permutation_rows(p):
+            _bump(summed, rd, inv)
+        assert full == summed, p.literal
         assert slide_expansion(p, lo=1) == positive_part(full), p.literal
         for lo in (-1, 0, 2):
             assert slide_expansion(p, lo=lo) == part_from(full, lo), (p.literal, lo)
@@ -203,7 +207,7 @@ def test_flattened_sum_is_fundamental_expansion():
         # the fundamental ones right-justified at 0, so the verdict on
         # [1 - m, 0] checks exactly the expansion that qsym prints
         justified = {WeakComposition(alpha, 1 - len(alpha)): tc for alpha, tc in fundamental.items()}
-        assert _slide_dp(dyck_graph(p), (0,) * p.n) == justified, p.literal
+        assert _expansion(_packed_dp(dyck_graph(p), (0,) * p.n), p.n) == justified, p.literal
 
 
 def test_empty_path():
