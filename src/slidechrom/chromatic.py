@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .compositions import WeakComposition, Window, unpack
+from .compositions import WeakComposition, Window, packed_slides, unpack
 from .dyck import DyckGraph, PartialDyckPath, dyck_graph, restriction_map
-from .slides import packed_slide_set
 from .tpoly import TCoeff, TPolynomial
 
 
@@ -244,17 +243,18 @@ def chromatic_via_slides(
     only moves mass to smaller indices."""
     graph = dyck_graph(path)
     dp = _packed_dp(graph, restriction_map(path), w.lo)
-    return _polynomial(_via_slides(dp, w), w, graph.n), _expansion(dp, graph.n)
+    return _polynomial(_via_slides(dp, w, graph.n), w, graph.n), _expansion(dp, graph.n)
 
 
-def _via_slides(dp: list[tuple[tuple, int]], w: Window) -> dict[int, int]:
-    """The slide sum of a packed expansion (_packed_dp with lo=w.lo) on
-    w, packed: each index's packed coefficient added once per packed
-    member of its slide set."""
+def _via_slides(dp: list[tuple[tuple, int]], w: Window, n: int) -> dict[int, int]:
+    """The slide sum of a packed expansion of weight n (_packed_dp with
+    lo=w.lo) on w, packed as in _polynomial: each index's packed
+    coefficient added once per member of its slide set (packed_slides)."""
+    bits, digits = n.bit_length(), len(w.indices())
     acc: dict[int, int] = {}
     get = acc.get
     for blocks, tc in dp:
-        for x in packed_slide_set(blocks, w):
+        for x in packed_slides(sum(v << bits * (i - w.lo) for i, v in blocks), digits, bits):
             acc[x] = get(x, 0) + tc
     return acc
 
@@ -285,7 +285,7 @@ def compare_chromatic(path: PartialDyckPath, w: Window) -> ChromaticReport:
     The routes are compared packed (see _t_slot) and converted once."""
     graph, rho = dyck_graph(path), restriction_map(path)
     packed = _brute(graph, rho, w)
-    summed = _via_slides(_packed_dp(graph, rho, w.lo), w)
+    summed = _via_slides(_packed_dp(graph, rho, w.lo), w, graph.n)
     equal = packed == summed
     brute = _polynomial(packed, w, graph.n)
     mismatches = []
@@ -326,7 +326,7 @@ def _verdict(graph: DyckGraph, m: int) -> bool:
     """Both chromatic routes of the graph with rho = 0 on [1-m, 0]."""
     zeros = (0,) * graph.n
     w = Window(1 - m, 0)
-    return _brute(graph, zeros, w) == _via_slides(_packed_dp(graph, zeros, w.lo), w)
+    return _brute(graph, zeros, w) == _via_slides(_packed_dp(graph, zeros, w.lo), w, graph.n)
 
 
 def verify_backstable(path: PartialDyckPath, m: int) -> ChromaticReport:

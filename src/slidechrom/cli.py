@@ -316,8 +316,8 @@ def cmd_paths(args) -> CommandResult:
 
 # worker globals: one key-to-slide row cache per process, keyed by the
 # packed key index (see keys.key_expansion_of_chromatic), at most
-# C(n + r_max - 1, r_max - 1) rows; the key monomials and slide sets the
-# rows are built from stay in keys' own memos
+# C(n + r_max - 1, r_max - 1) rows; their key monomials stay in keys'
+# memo and their slide sets in compositions.packed_slides
 _SWEEP_CACHE: dict = {}
 
 

@@ -6,13 +6,15 @@ nonnegative integers; entries may sit at nonpositive indices.  Strong
 compositions (all parts positive, positions irrelevant) are plain tuples
 of positive ints.  A packed exponent vector is one int with a fixed
 number of bits per entry, the first entry in the low digit (pack,
-unpack); slide_walk builds slide sets in that form, and slide_set turns
-its ints into weak compositions.
+unpack, WeakComposition.packed).  slide_walk builds slide sets in that
+form for packed_slides, the one slide-set memo every layer reads, and
+prefix_grade is the peel grade the slide and key peels share.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -138,6 +140,11 @@ class WeakComposition:
         return WeakComposition(
             [self[i] + other[i] for i in range(lo, hi + 1)], lo
         )
+
+    def packed(self, lo: int, bits: int) -> int:
+        """The entries packed bits bits each (pack), index lo in the low
+        digit.  The composition must be zero or start at lo or above."""
+        return pack(self.entries, bits) << bits * (self.lo - lo) if self.entries else 0
 
     def supported_in(self, w: Window) -> bool:
         # canonical entries have nonzero ends, so lo and hi bound the support
@@ -278,17 +285,53 @@ def slide_walk(parts: tuple[int, ...], prefix: list[int], bits: int) -> list[int
     return out
 
 
+# The one slide-set memo.  Its bound holds the 6,435 slide sets the
+# weight-8 key-to-slide rows read.
+@lru_cache(maxsize=8192)
+def packed_slides(x: int, digits: int, bits: int) -> tuple[int, ...]:
+    """The slide set of a packed index x on a window of digits indices,
+    as packed ints in the same layout: bits bits per entry, the window's
+    first index in the low digit (slide_walk).
+
+    The walk depends only on x relative to the window, so an index and a
+    window translated together share one entry.  The parts come from
+    every digit of x and the prefix sums from the window's digits only:
+    an index past the window's top still slides into it, and on an empty
+    window a nonzero index has no members.
+    """
+    vec = unpack(x, bits)
+    prefix = list(itertools.accumulate((vec + (0,) * digits)[:digits]))
+    return tuple(slide_walk(tuple(v for v in vec if v), prefix, bits))
+
+
 def slide_set(a: WeakComposition, w: Window) -> set[WeakComposition]:
     """All b supported in w with flatten(b) refining flatten(a) and
-    b dominating a in prefix sums."""
+    b dominating a in prefix sums, read from packed_slides."""
     if a.entries and a.lo < w.lo:
         return set()  # b has no weight below w.lo to dominate a with
     bits = a.weight().bit_length()
-    prefix = list(itertools.accumulate(a[i] for i in w.indices()))
     return {
         WeakComposition(unpack(x, bits), w.lo)
-        for x in slide_walk(a.flatten(), prefix, bits)
+        for x in packed_slides(a.packed(w.lo, bits), len(w.indices()), bits)
     }
+
+
+def prefix_grade(digits: int, bits: int):
+    """Peel grade of packed exponents on digits digits of bits bits:
+    (x * ones) & mask, where ones has a 1 in each of the low digits.
+
+    Digit k of the product is e_0 + ... + e_k, a prefix sum, which cannot
+    carry while the weight is below 2 ** bits.  So the grade reads the
+    prefix-sum vector from its last entry down, and its integer order is
+    reverse-lex on prefix sums.  That extends dominance: if b dominates a
+    and b != a, the first prefix sum from the top where they differ is
+    larger for b.  Every slide-set member of m other than m itself, and
+    every monomial of the key polynomial of m other than x^m, dominates
+    m, so it has a strictly larger grade, which is all tpoly.peel needs.
+    """
+    mask = (1 << (bits * digits)) - 1
+    ones = mask // ((1 << bits) - 1)
+    return lambda x: (x * ones) & mask
 
 
 def comp_of_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:

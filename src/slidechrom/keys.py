@@ -4,15 +4,16 @@ basis, and the search for expansion coefficients with negative entries.
 Key polynomials live in x_1..x_r.  Inside this module an exponent is
 one packed int (compositions.pack): 8 bits per entry, x_1 in the low
 digit, so x^e times x_i is e + (1 << 8(i - 1)).  Key monomials,
-slide-set members, key-to-slide rows and the chromatic key peel all use
-it, and key_polynomial, expand_in_keys and key_expansion_of_chromatic
-convert to and from WeakComposition at their boundaries.  An entry, and
-so every prefix sum the grade reads, must fit in a digit: each of the
-three refuses a weight above 255 with ValueError.  A key polynomial's
-coefficients are plain ints (t^0 only).  The expansion solves the change
-of basis exactly over Z[t] and certifies itself by reducing the input to
-zero; a nonzero remainder raises, so a wrong answer cannot be returned
-silently.
+key-to-slide rows and the chromatic key peel all use it, slide sets are
+read in it from the shared memo (compositions.packed_slides), and
+key_polynomial, expand_in_keys and key_expansion_of_chromatic convert
+to and from WeakComposition at their boundaries.  An entry, and so
+every prefix sum the grade (compositions.prefix_grade) reads, must fit
+in a digit: each of the three refuses a weight above 255 with
+ValueError.  A key polynomial's coefficients are plain ints (t^0 only).
+The expansion solves the change of basis exactly over Z[t] and
+certifies itself by reducing the input to zero; a nonzero remainder
+raises, so a wrong answer cannot be returned silently.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .chromatic import slide_expansion
-from .compositions import WeakComposition, Window, pack, slide_walk, unpack
+from .compositions import WeakComposition, Window, packed_slides, prefix_grade, unpack
 from .dyck import PartialDyckPath, scan_paths
 from .tpoly import (
     TCoeff,
@@ -41,8 +42,6 @@ _DIGIT = (1 << _BITS) - 1  # one digit's mask and largest value: the largest wei
 
 # packed exponent -> the key polynomial's (packed exponent, coefficient) pairs
 _KEY_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
-# packed index -> the packed members of its slide set on [1, len(index)]
-_SLIDE_CACHE: dict[int, tuple[int, ...]] = {}
 
 
 def divided_difference(p: TPolynomial, i: int) -> TPolynomial:
@@ -96,7 +95,7 @@ def _packed(e: WeakComposition) -> int:
     # e must have e.lo >= 1 or be zero
     if e.weight() > _DIGIT:
         raise ValueError(f"weight of {e} above {_DIGIT}")
-    return pack(e.entries, _BITS) << _BITS * (e.lo - 1)
+    return e.packed(1, _BITS)
 
 
 def _key_terms(x: int) -> tuple[tuple[int, int], ...]:
@@ -133,32 +132,14 @@ def _key_terms(x: int) -> tuple[tuple[int, int], ...]:
     return result
 
 
-def _grade(length: int):
-    """Peel grade of packed exponents on [1, length]: (x * ones) & mask,
-    where ones has a 1 in each of the length low digits.
-
-    Digit k of the product is e_1 + ... + e_(k+1), a prefix sum, which
-    cannot carry since the weight is at most 255.  So the grade reads the
-    prefix-sum vector from its last entry down, and its integer order is
-    reverse-lex on prefix sums.  That extends dominance: if b dominates a
-    and b != a, the first prefix sum from the top where they differ is
-    larger for b.  Every monomial of kappa_m and every slide-set member
-    of m other than m itself dominates m, so it has a strictly larger
-    grade, which is all tpoly.peel needs.
-    """
-    ones = ((1 << (_BITS * length)) - 1) // _DIGIT
-    mask = (1 << (_BITS * length)) - 1
-    return lambda x: (x * ones) & mask
-
-
 def expand_in_keys(
     p: TPolynomial, r: int
 ) -> dict[WeakComposition, TCoeff]:
     """Write p (exponents inside [1, r], weight at most 255) as a
     Z[t]-combination of keys.
 
-    Peeled by tpoly.peel with the packed grade on [1, r] (_grade), which
-    grows whenever a unit of exponent moves to a smaller index: every
+    Peeled by tpoly.peel with the packed grade on [1, r] (prefix_grade),
+    which grows whenever a unit of exponent moves to a smaller index: every
     monomial of kappa_m other than x^m has a larger grade than m.  A
     nonzero remainder raises tpoly.ExpansionError; a zero one certifies
     that the returned coefficients are exactly the unique key-basis
@@ -169,7 +150,7 @@ def expand_in_keys(
         if e.weight() and (e.lo < 1 or e.hi > r):
             raise ValueError(f"exponent {e} outside [1, {r}]")
         names[_packed(e)] = e
-    found = peel({x: p.terms[e] for x, e in names.items()}, _key_terms, _grade(r))
+    found = peel({x: p.terms[e] for x, e in names.items()}, _key_terms, prefix_grade(r, _BITS))
     return {names.get(m) or WeakComposition(unpack(m, _BITS)): tc for m, tc in found.items()}
 
 
@@ -218,14 +199,7 @@ def _slide_terms(x: int) -> Iterator[tuple[int, int]]:
     [1, len(index)], which is its slide polynomial on any [1, R] with
     R >= len(index): a b that dominates the index with the same weight
     has no entry past len(index).  Each has coefficient 1."""
-    members = _SLIDE_CACHE.get(x)
-    if members is None:
-        vec = unpack(x, _BITS)
-        parts = tuple(v for v in vec if v)
-        members = _SLIDE_CACHE[x] = tuple(
-            slide_walk(parts, list(itertools.accumulate(vec)), _BITS)
-        )
-    return zip(members, itertools.repeat(1))
+    return zip(packed_slides(x, -(-x.bit_length() // _BITS), _BITS), itertools.repeat(1))
 
 
 def _key_slide_row(b: int) -> tuple[tuple[int, int], ...]:
@@ -241,7 +215,7 @@ def _key_slide_row(b: int) -> tuple[tuple[int, int], ...]:
     found = peel(
         {e: {0: c} for e, c in _key_terms(b)},
         _slide_terms,
-        _grade(len(unpack(b, _BITS))),
+        prefix_grade(len(unpack(b, _BITS)), _BITS),
     )
     return tuple((a, tc[0]) for a, tc in found.items())
 
@@ -256,8 +230,8 @@ def key_expansion_of_chromatic(
     positive window is peeled with key-to-slide rows (_key_slide_row),
     never through the assembled polynomial.  Slide polynomials on [1, R]
     are linearly independent, so the zero remainder that certifies the
-    peel certifies equality of polynomials.  The grade is the packed
-    one (_grade); every index of one peel has weight n, so any R at or
+    peel certifies equality of polynomials.  The grade is the packed one
+    (prefix_grade); every index of one peel has weight n, so any R at or
     above the support gives the same order.  Raises ValueError for a
     path with more than 255 vertices, whose weight does not fit a digit.
 
@@ -281,7 +255,7 @@ def key_expansion_of_chromatic(
         return cache[b][1]
 
     terms = {_packed(a): tc for a, tc in expansion.items()}
-    found = peel(terms, row, _grade(max(a.hi for a in expansion)))
+    found = peel(terms, row, prefix_grade(max(a.hi for a in expansion), _BITS))
     return {cache[b][0]: tc for b, tc in found.items()}
 
 

@@ -1,4 +1,5 @@
-"""Slide polynomials over integer windows, their expansion algorithm,
+"""Slide polynomials over integer windows, their expansion algorithm (a
+packed peel over the slide-set memo compositions.packed_slides),
 fundamental quasisymmetric polynomials, and the tail-strong product
 decomposition that splits a slide index into a nonpositive fundamental
 part and positive slide parts.
@@ -6,43 +7,22 @@ part and positive slide parts.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
-from .compositions import WeakComposition, Window, slide_walk, unpack
+from .compositions import WeakComposition, Window, packed_slides, prefix_grade, slide_set, unpack
 from .tpoly import TCoeff, TPolynomial, peel
 
 
-# Both caches are bounded so a long-running process cannot grow them
-# without limit; no sweep or benchmark list meets more than a few hundred
-# (index, window) pairs.
+# Bounded so a long-running process cannot grow it without limit.  Only
+# fundamental_qsym, the CLI and tests build slide polynomials; the engine
+# reads the packed memo, which translated pairs share.
 @lru_cache(maxsize=4096)
 def slide_polynomial(a: WeakComposition, w: Window) -> TPolynomial:
-    """Sum of x^b over the slide set of a inside the window.
-
-    Enumerates dominated refinements directly (packed_slide_set); see
-    slide_polynomial_by_chains for the independent model.
-    """
-    bits = a.weight().bit_length()
-    members = packed_slide_set(tuple(a.items()), w)
+    """Sum of x^b over the slide set of a inside the window (slide_set);
+    see slide_polynomial_by_chains for the independent model."""
     # the members are distinct exponents inside w
-    return TPolynomial._canonical(w, {WeakComposition(unpack(x, bits), w.lo): {0: 1} for x in members})
-
-
-@lru_cache(maxsize=4096)
-def packed_slide_set(blocks: tuple[tuple[int, int], ...], w: Window) -> tuple[int, ...]:
-    """The slide set on w of the index whose nonzero entries are the
-    (index, entry) blocks, in increasing index order, as distinct packed
-    ints (compositions.slide_walk): weight.bit_length() bits per entry,
-    index w.lo in the low digit."""
-    if blocks and blocks[0][0] < w.lo:
-        return ()  # b has no weight below w.lo to dominate the index with
-    entries = dict(blocks)
-    prefix, placed = [], 0
-    for i in w.indices():
-        placed += entries.get(i, 0)
-        prefix.append(placed)
-    parts = tuple(v for _, v in blocks)
-    return tuple(slide_walk(parts, prefix, sum(parts).bit_length()))
+    return TPolynomial._canonical(w, {b: {0: 1} for b in slide_set(a, w)})
 
 
 def slide_polynomial_by_chains(a: WeakComposition, w: Window) -> TPolynomial:
@@ -87,24 +67,27 @@ def expand_in_slides(
 ) -> dict[WeakComposition, TCoeff]:
     """Write p as a Z[t]-combination of slide polynomials on w.
 
-    Peeled by tpoly.peel with the grade sum((w.hi + 1 - i) * m_i), which
-    is the sum of the prefix sums of m over w.  Every other monomial of
-    the slide polynomial of m dominates m in prefix sums, strictly at
-    some prefix, so its grade is strictly larger; this holds at
-    nonpositive indices too.  Raises ValueError if p has an exponent
-    outside w and RuntimeError if the peel cannot certify its result,
-    which would indicate a bug.
+    Peeled by tpoly.peel on packed exponents (index w.lo in the low
+    digit), the basis read from packed_slides and graded by prefix_grade,
+    under which every other member of a slide set is larger than its
+    index, at nonpositive indices too; only the result is converted back.
+    Raises ValueError if p has an exponent outside w and
+    tpoly.ExpansionError (a RuntimeError) if the peel cannot certify its
+    result, which would indicate a bug.
     """
     for e in p.terms:
         if not e.supported_in(w):
             raise ValueError(f"exponent {e} not supported in window {w}")
-
-    def basis(m: WeakComposition) -> list[tuple[WeakComposition, int]]:
-        return [(b, tc[0]) for b, tc in slide_polynomial(m, w).terms.items()]
-
-    return peel(
-        p.terms, basis, lambda m: sum((w.hi + 1 - i) * v for i, v in m.items())
+    # at least one bit: a weight-0 polynomial would leave no digits to grade
+    bits = max(1, max(map(WeakComposition.weight, p.terms), default=0)).bit_length()
+    digits = len(w.indices())
+    names = {e.packed(w.lo, bits): e for e in p.terms}  # reused as result keys
+    found = peel(
+        {x: p.terms[e] for x, e in names.items()},
+        lambda x: zip(packed_slides(x, digits, bits), itertools.repeat(1)),
+        prefix_grade(digits, bits),
     )
+    return {names.get(x) or WeakComposition(unpack(x, bits), w.lo): tc for x, tc in found.items()}
 
 
 def fundamental_qsym(alpha: tuple[int, ...], m: int) -> TPolynomial:

@@ -193,17 +193,17 @@ def test_duplicated_slide_member_is_reported(monkeypatch, capsys):
     # one member of one slide set, the first nonempty one the slide sum
     # reads, listed twice: the packed sum adds its coefficient once more,
     # and packed equality must see it
-    true_set = chromatic.packed_slide_set
+    true_set = chromatic.packed_slides
     faulty = []
 
-    def duplicated(blocks, w):
-        members = true_set(blocks, w)
-        if members and faulty in ([], [(blocks, w)]):
-            faulty[:] = [(blocks, w)]
+    def duplicated(x, digits, bits):
+        members = true_set(x, digits, bits)
+        if members and faulty in ([], [(x, digits, bits)]):
+            faulty[:] = [(x, digits, bits)]
             return members + members[:1]
         return members
 
-    monkeypatch.setattr(chromatic, "packed_slide_set", duplicated)
+    monkeypatch.setattr(chromatic, "packed_slides", duplicated)
     _assert_mismatch_reported(capsys)
     assert len(faulty) == 1
 
@@ -304,7 +304,7 @@ def test_slot_holds_n_factorial_in_both_routes():
         ones = sum(1 << n.bit_length() * k for k in range(n))
         brute = chromatic._brute(graph, zeros, w)
         assert brute[ones] == math.factorial(n) < 1 << chromatic._t_slot(n)
-        assert chromatic._via_slides(chromatic._packed_dp(graph, zeros, w.lo), w) == brute
+        assert chromatic._via_slides(chromatic._packed_dp(graph, zeros, w.lo), w, n) == brute
         rep = compare_chromatic(p, w)
         assert rep.equal and rep.brute == rep.via_slides
         assert rep.brute.terms[wc([1] * n, 1 - n)] == {0: math.factorial(n)}

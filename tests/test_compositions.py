@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 from slidechrom import (
     WeakComposition,
     Window,
+    chromatic,
     comp_of_subset,
     dominates,
+    keys,
     leq_slide,
     refines,
+    slide_polynomial,
     slide_set,
     subset_of_comp,
     transpose,
 )
-from slidechrom.compositions import pack, slide_walk, unpack
+from slidechrom.compositions import pack, packed_slides, slide_walk, unpack
 
 
 def wc(entries, lo=1):
@@ -307,6 +310,27 @@ def test_slide_walk_matches_definition(entries, a_lo, lo, width, spare_bits):
         packed = slide_walk(a.flatten(), prefix, bits)
         assert len(set(packed)) == len(packed)
         assert {wc(unpack(x, bits), lo=lo) for x in packed} == expected, (a, w, bits)
+
+
+def test_every_layer_reads_one_slide_set_memo():
+    # weight 200 packs at 8 bits per entry in every layer, the key
+    # layer's width; (150, 50) is weakly decreasing, so its key row reads
+    # the slide set of its own index and no other
+    a, w = wc([150, 50]), Window(1, 2)
+    packed_slides.cache_clear()
+    slide_polynomial.cache_clear()
+    members = slide_set(a, w)
+    slide_polynomial(a, w)
+    chromatic._via_slides([(((1, 150), (2, 50)), 1)], w, 200)
+    keys._key_slide_row(pack(a.entries, 8))
+    info = packed_slides.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+    # an index and a window translated together hit the same entry
+    for k in (-4, 3):
+        assert slide_set(a.shifted(k), Window(1 + k, 2 + k)) == {b.shifted(k) for b in members}
+        chromatic._via_slides([(((1 + k, 150), (2 + k, 50)), 1)], Window(1 + k, 2 + k), 200)
+    info = packed_slides.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 7)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

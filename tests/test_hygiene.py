@@ -3,8 +3,9 @@ module: no module of the package, its tests or its demos imports a name it
 never uses, every name in __all__ resolves, and every definition is
 referenced somewhere in the repository, and only the oracles are referenced
 from tests alone.  Importing the package and its
-CLI also leaves the process pool's module unloaded, and the benchmark's
-tracer finds every name it wraps."""
+CLI also leaves the process pool's module unloaded, the benchmark's
+tracer finds every name it wraps, and only the slide-set memo runs the
+slide walk."""
 
 import ast
 import os
@@ -143,6 +144,18 @@ def test_poset_oracle_stays_independent_of_the_engine():
     names = set(_references(ast.parse(path.read_text(), filename=str(path))))
     engine = {"slide_expansion", "slide_set", "peel", "combine"}
     assert not names & engine, f"posets.py uses engine names: {sorted(names & engine)}"
+
+
+def test_slide_walk_feeds_only_the_slide_set_memo():
+    # every layer reads slide sets from one memo, compositions.packed_slides;
+    # any other use of the walk, an import included, would start a second
+    users = sorted(
+        f"{path.name}:{getattr(node, 'name', type(node).__name__)}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if "slide_walk" in set(_references(node))
+    )
+    assert users == ["compositions.py:packed_slides"], users
 
 
 def test_slide_dp_stays_independent_of_the_poset_oracle():

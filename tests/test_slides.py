@@ -161,16 +161,18 @@ def test_expand_detects_linear_combinations():
 
 
 def test_expand_nonzero_remainder_raises(monkeypatch):
-    # a corrupted slide polynomial (leading coefficient 2) cannot peel x2
+    # a corrupted slide set (leading coefficient 0: the index itself
+    # missing) cannot peel x2
     w = Window(1, 2)
-    real = slides.slide_polynomial
+    p = slide_polynomial(wc([0, 1]), w)
+    real = slides.packed_slides
 
-    def doubled(a, w):
-        return TPolynomial(w, {**real(a, w).terms, a: {0: 2}})
+    def headless(x, digits, bits):
+        return tuple(y for y in real(x, digits, bits) if y != x)
 
-    monkeypatch.setattr(slides, "slide_polynomial", doubled)
+    monkeypatch.setattr(slides, "packed_slides", headless)
     with pytest.raises(RuntimeError, match="remainder"):
-        expand_in_slides(real(wc([0, 1]), w), w)
+        expand_in_slides(p, w)
 
 
 def test_expand_zero():
