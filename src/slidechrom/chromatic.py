@@ -3,9 +3,10 @@ independent ways: brute-force over bounded proper colorings, and as a
 permutation sum of slide polynomials, evaluated by a dynamic program
 over subsets.  Each route is a private core over (graph, rho) behind a
 public function of the path; the cores work on packed ints and are
-compared as {int: int} dicts, and a TPolynomial is built only at the
-public boundary (_polynomial).  The fundamental expansion of the
-nonpositive-variable specialization is the same DP with rho = 0.
+compared as {int: int} dicts in one layout, and one converter (_terms)
+turns them into WeakComposition terms at the public boundary.  The
+fundamental expansion of the nonpositive-variable specialization is
+the same DP with rho = 0.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
 
 
 def _brute(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> dict[int, int]:
-    """chromatic_brute on the graph with bounds rho, packed as in
-    _polynomial.  The walk visits every proper coloring.  It keeps the
+    """chromatic_brute on the graph with bounds rho, packed as in _terms
+    from w.lo.  The walk visits every proper coloring.  It keeps the
     color counts as one int, n.bit_length() bits per color with color
     w.lo in the low digit, so coloring a vertex c adds one unit at c's
     digit, and t^(descents) as the bit at slot * descents (_t_slot).
@@ -78,16 +79,15 @@ def slide_expansion(
     """Slide expansion of the chromatic polynomial: each slide index
     mapped to the sum of t^(graph inversions of pi) over the permutations
     pi whose descent composition it is.  With lo given, only the indices
-    whose blocks all sit at lo or above."""
+    whose blocks all sit at lo or above; its default, 1 - n, drops none."""
     graph = dyck_graph(path)
-    return _expansion(_packed_dp(graph, restriction_map(path), lo), graph.n)
+    lo = 1 - graph.n if lo is None else lo
+    return _terms(_packed_dp(graph, restriction_map(path), lo), lo, graph.n)
 
 
-def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int | None = None) -> list[tuple[tuple, int]]:
-    """slide_expansion on the graph with bounds rho, packed: a list of
-    distinct indices, each as its (index, size) blocks in increasing
-    index order, with its coefficient packed as in _t_slot (see
-    _expansion).
+def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int) -> dict[int, int]:
+    """slide_expansion on the graph with bounds rho, from lo, packed as
+    in _terms: {packed index: packed coefficient}.
 
     A dynamic program over subsets (the transfer-matrix method) stands in
     for the loop over all n! permutations.  pi is built backwards from
@@ -107,17 +107,18 @@ def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int | None = None) ->
     Both the coefficient and the closed blocks are plain ints.  The
     coefficient of t^d sits at bit slot * d (see _t_slot), so adding
     t^k times a coefficient is a shift and merging two states is one
-    addition.  Each closed block is a field (index + n - 1, size), and
-    the field of the front block sits in the lowest bits; it is packed
-    only when a block closes.  The blocks are unpacked once per distinct
-    index at the end, where their indices are checked to increase
-    strictly.
+    addition.  The closed blocks are the packed index itself: a block
+    of size s closed at bound b adds s at b's digit.  Every state checks
+    that its closed blocks all sit above its bound, so the indices of pi's
+    blocks increase strictly.
 
-    With lo given, only the indices whose blocks all sit at lo or above
-    are computed.  Bounds never increase as pi grows, so a state whose
-    bound is below lo can only end below lo and is dropped.  Placing u
-    caps the bound at rho(u), so one rho(u) < lo leaves nothing; otherwise
-    only a block close from a state at bound lo goes below it.
+    Only the indices whose blocks all sit at lo or above are computed.
+    Bounds never increase as pi grows, so a state whose bound is below
+    lo can only end below lo and is dropped.  Placing u caps the bound at
+    rho(u), so one rho(u) < lo leaves nothing; otherwise only a block
+    close from a state at bound lo goes below it.  lo = 1 - n drops
+    nothing: bounds start at some rho(u) >= 0 and fall by at most one per
+    close, and there are at most n - 1 closes.
 
     With rho = 0 the last block of pi sits at 0 and each block one below
     the block after it: the indices are the fundamental indices
@@ -125,9 +126,9 @@ def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int | None = None) ->
     """
     n = graph.n
     if n == 0:
-        return [((), 1)]
-    if lo is not None and min(rho) < lo:
-        return []
+        return {0: 1}
+    if min(rho) < lo:
+        return {}
     full = (1 << n) - 1
     # vertex v + 1 is bit v: above[v] holds the later vertices not
     # adjacent to v, lower_nbrs[u] the neighbours of u with smaller labels
@@ -136,35 +137,28 @@ def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int | None = None) ->
     for i, j in graph.edges:
         above[i - 1] &= ~(1 << (j - 1))
         lower_nbrs[j - 1] |= 1 << (i - 1)
-    slot = _t_slot(n)
-    # bounds start at some rho(u) >= 0 and each of the at most n - 1
-    # closes lowers them by at most one, so every block index lies in
-    # [1 - n, max(rho)]; off shifts that range to start at 0
-    off = n - 1
-    size_bits = n.bit_length()
-    block_bits = (max(rho) + off).bit_length() + size_bits
-    size_mask = (1 << size_bits) - 1
-    block_mask = (1 << block_bits) - 1
-
-    def unpack_blocks(closed: int) -> tuple[tuple[int, int], ...]:
-        blocks = []
-        while closed:
-            blocks.append((((closed & block_mask) >> size_bits) - off, closed & size_mask))
-            closed >>= block_bits
-        indices = [i for i, _ in blocks]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise RuntimeError(f"block indices {indices} not strictly increasing")
-        return tuple(blocks)
-
+    slot, bits = _t_slot(n), n.bit_length()
+    # every bound lies in [lo, max(rho)]; bound b is digit b - lo
+    shift = [bits * k for k in range(max(rho) - lo + 1)]
+    at_or_below = [(1 << s + bits) - 1 for s in shift]
+    packed: dict[int, int] = {}
     # the front vertex is v, at bit v
     layer = {(1 << u, u, rho[u], 1, 0): 1 for u in range(n)}
-    for _ in range(n - 1):
+    while layer:
         nxt: dict[tuple, int] = {}
         get = nxt.get
         for (mask, v, bound, size, closed), tc in layer.items():
-            up = above[v]
+            k = bound - lo
+            if closed & at_or_below[k]:
+                raise RuntimeError(f"block indices not strictly increasing: closed blocks "
+                                   f"{unpack(closed, bits)} from {lo} reach bound {bound}")
+            closed_now = closed | size << shift[k]
             free = full & ~mask
-            if lo is not None and bound <= lo:
+            if not free:
+                packed[closed_now] = packed.get(closed_now, 0) + tc
+                continue
+            up = above[v]
+            if bound == lo:
                 free &= up  # a block closed here would end below lo
             while free:
                 bit = free & -free
@@ -174,16 +168,11 @@ def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int | None = None) ->
                 if up & bit:
                     key = (mask | bit, u, bound if bound < cap else cap, size + 1, closed)
                 else:
-                    closed_now = (closed << block_bits) | ((bound + off) << size_bits) | size
                     key = (mask | bit, u, bound - 1 if bound <= cap else cap, 1, closed_now)
                 moved = tc << slot * (mask & lower_nbrs[u]).bit_count()
                 nxt[key] = get(key, 0) + moved
         layer = nxt
-    packed: dict[int, int] = {}
-    for (_, _, bound, size, closed), tc in layer.items():
-        closed = (closed << block_bits) | ((bound + off) << size_bits) | size
-        packed[closed] = packed.get(closed, 0) + tc
-    return [(unpack_blocks(closed), tc) for closed, tc in packed.items()]
+    return packed
 
 
 def _t_slot(n: int) -> int:
@@ -216,21 +205,19 @@ def _t_unpack(packed: int, slot: int) -> TCoeff:
     return tc
 
 
-def _expansion(dp: list[tuple[tuple, int]], n: int) -> dict[WeakComposition, TCoeff]:
-    """A packed expansion of weight n (_packed_dp) as WeakComposition
-    indices with t-coefficients."""
-    slot = _t_slot(n)
-    return {WeakComposition.from_items(blocks): _t_unpack(tc, slot) for blocks, tc in dp}
+def _terms(packed: dict[int, int], lo: int, n: int) -> dict[WeakComposition, TCoeff]:
+    """A packed {exponent: coefficient} dict of weight n as WeakComposition
+    exponents with t-coefficients: exponent digits of n.bit_length()
+    bits, index lo in the low digit (compositions.pack), coefficients as
+    in _t_slot.  Every chromatic route packs its result this way."""
+    bits, slot = n.bit_length(), _t_slot(n)
+    return {WeakComposition(unpack(x, bits), lo): _t_unpack(tc, slot) for x, tc in packed.items()}
 
 
 def _polynomial(packed: dict[int, int], w: Window, n: int) -> TPolynomial:
-    """The polynomial on w of a packed {exponent: coefficient} dict of
-    weight n: exponent digits of n.bit_length() bits, index w.lo in the
-    low digit (compositions.pack), coefficients as in _t_slot."""
-    bits, slot = n.bit_length(), _t_slot(n)
+    """The polynomial on w of a packed dict of weight n (_terms, from w.lo)."""
     # every exponent lies in w and every packed coefficient is positive
-    terms = {WeakComposition(unpack(x, bits), w.lo): _t_unpack(tc, slot) for x, tc in packed.items()}
-    return TPolynomial._canonical(w, terms)
+    return TPolynomial._canonical(w, _terms(packed, w.lo, n))
 
 
 def chromatic_via_slides(
@@ -243,18 +230,19 @@ def chromatic_via_slides(
     only moves mass to smaller indices."""
     graph = dyck_graph(path)
     dp = _packed_dp(graph, restriction_map(path), w.lo)
-    return _polynomial(_via_slides(dp, w, graph.n), w, graph.n), _expansion(dp, graph.n)
+    return _polynomial(_via_slides(dp, w, graph.n), w, graph.n), _terms(dp, w.lo, graph.n)
 
 
-def _via_slides(dp: list[tuple[tuple, int]], w: Window, n: int) -> dict[int, int]:
-    """The slide sum of a packed expansion of weight n (_packed_dp with
-    lo=w.lo) on w, packed as in _polynomial: each index's packed
-    coefficient added once per member of its slide set (packed_slides)."""
+def _via_slides(dp: dict[int, int], w: Window, n: int) -> dict[int, int]:
+    """The slide sum on w of a packed expansion of weight n from w.lo
+    (_packed_dp with lo=w.lo), packed the same way: each index's packed
+    coefficient added once per member of its slide set (packed_slides),
+    whose members share the index's layout."""
     bits, digits = n.bit_length(), len(w.indices())
     acc: dict[int, int] = {}
     get = acc.get
-    for blocks, tc in dp:
-        for x in packed_slides(sum(v << bits * (i - w.lo) for i, v in blocks), digits, bits):
+    for a, tc in dp.items():
+        for x in packed_slides(a, digits, bits):
             acc[x] = get(x, 0) + tc
     return acc
 
@@ -308,7 +296,8 @@ def fundamental_expansion(path: PartialDyckPath) -> dict[tuple[int, ...], TCoeff
     caps anything, so it is the slide expansion of the Dyck graph with
     rho = 0, whose indices are the fundamental ones right-justified at 0."""
     graph = dyck_graph(path)
-    expansion = _expansion(_packed_dp(graph, (0,) * graph.n), graph.n)
+    lo = 1 - graph.n
+    expansion = _terms(_packed_dp(graph, (0,) * graph.n, lo), lo, graph.n)
     return {a.flatten(): tc for a, tc in expansion.items()}
 
 

@@ -5,7 +5,8 @@ human-readable by default (weak compositions in bar notation); --json
 switches to one deterministic JSON document per invocation, with the
 polynomial schema shared with :mod:`slidechrom.tpoly`.
 
-Sweeps fan out over worker processes (--threads, default one per core);
+Sweeps fan out over worker processes (--threads, default one per core,
+never more than the cores or the paths);
 tasks are handed out in dyck.scan_paths order and results come back in
 task order, so the thread count never changes the output.
 """
@@ -353,13 +354,15 @@ def cmd_sweep(args) -> CommandResult:
     _check_m(m)
     # results come back in task order, so the output is in scan order
     tasks = [(mode, p.literal, m) for p in scan_paths(args.n, args.r)]
-    threads = args.threads or os.cpu_count() or 1
-    if threads > 1 and len(tasks) > 1:
+    # the pool forks every worker at once; their count never changes the document
+    cores = os.cpu_count() or 1
+    workers = min(args.threads or cores, cores, len(tasks))
+    if workers > 1:
         # imported here: it is half of the module's import time, and the
         # forked workers do not need it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks, chunksize=64))
     else:
         results = [_sweep_one(t) for t in tasks]
@@ -464,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker count (default or 0: cores)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes, at most one per core and per path (default or 0: cores)")
     add_force(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -7,10 +7,11 @@ vectors (WeakComposition) to t-coefficients and carries a Window as
 metadata describing where exponents are allowed to live.  Operations
 never silently truncate: a term outside the window raises.
 
-combine is the one routine that multiplies and adds t-coefficients:
-every TPolynomial operation (+, -, *, scaled, evaluate_all_ones), the
-divided difference in keys and every sum of tc * basis(k) over an
-expansion is one combine call.  peel, the inverse, subtracts in place.
+combine sums tc * basis(k) over an expansion of t-coefficient dicts;
+it is behind every TPolynomial operation (+, -, *, scaled,
+evaluate_all_ones) and the divided difference in keys.  peel, the
+inverse, subtracts c * k in place.  The chromatic routes do not use
+either: they add t-coefficients packed into ints (chromatic._t_slot).
 """
 
 from __future__ import annotations

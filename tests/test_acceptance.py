@@ -278,15 +278,10 @@ def test_11_key_positivity_search(capsys):
     for n in (1, 2, 3):
         if search_negative_records(n, 3):
             ok = False
-    # first counterexample on six vertices, deterministic scan order
-    found = search_negative_records(6, 6, stop_after=1)
-    ok &= len(found) >= 1
-    if found:
-        first_path = found[0].path
-        pinned = [
-            rec for rec in load_negative_fixtures() if rec.path == first_path
-        ]
-        ok &= sorted(found, key=lambda r: str(r.composition)) == sorted(
-            pinned, key=lambda r: str(r.composition)
-        )
+    # the first five key-negative six-vertex paths in scan order are the
+    # pinned fixture, record for record and in order: this call
+    # regenerates it
+    found = search_negative_records(6, 6, stop_after=5)
+    ok &= len({rec.path for rec in found}) == 5
+    ok &= found == load_negative_fixtures()
     report(capsys, 11, "key-positivity counterexample", ok, t0, budget=7200)

@@ -57,7 +57,7 @@ def test_sweep_checks_build_only_the_window_indices(monkeypatch):
     calls = []
     full = chromatic._packed_dp
 
-    def recording(graph, rho, lo=None):
+    def recording(graph, rho, lo):
         calls.append(lo)
         return full(graph, rho, lo)
 
@@ -71,10 +71,11 @@ def test_sweep_checks_build_only_the_window_indices(monkeypatch):
     calls.clear()
     rep = compare_chromatic(p, Window(1, p.r))
     assert calls == [1]
-    assert rep.expansion == chromatic._expansion(full(dyck_graph(p), restriction_map(p)), p.n)
-    assert calls == [1, None]
+    low = 1 - p.n  # slide_expansion's default lo
+    assert rep.expansion == chromatic._terms(full(dyck_graph(p), restriction_map(p), low), low, p.n)
+    assert calls == [1, low]
     assert rep.expansion is rep.expansion  # computed once
-    assert calls == [1, None]
+    assert calls == [1, low]
 
 
 def test_compare_builds_the_graph_and_rho_once(monkeypatch):
@@ -181,9 +182,10 @@ def test_mismatch_is_reported(monkeypatch, capsys):
     # breaks the theorem
     true_dp = chromatic._packed_dp
 
-    def doubled(graph, rho, lo=None):
-        (least, tc), *rest = sorted(true_dp(graph, rho, lo))
-        return [(least, 2 * tc), *rest]
+    def doubled(graph, rho, lo):
+        dp = true_dp(graph, rho, lo)
+        least = min(dp)
+        return {**dp, least: 2 * dp[least]}
 
     monkeypatch.setattr(chromatic, "_packed_dp", doubled)
     _assert_mismatch_reported(capsys)

@@ -1,5 +1,7 @@
+import concurrent.futures
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -370,6 +372,38 @@ def test_sweep_rejects_negative_threads(capsys):
     code, doc = run_json(capsys, "sweep", "theorem", "2", "2", "--threads", "-1")
     assert code == 2 and doc["status"] == "error"
     assert "--threads" in doc["payload"]["error"]
+
+
+def test_sweep_pool_is_bounded_by_cores_and_paths(capsys, monkeypatch):
+    # the pool forks every worker at once, so a huge --threads must not
+    # reach it; the stand-in pool records its size and forks nothing
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _, want = run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", "1")
+    for threads in ("100000", "0", "2"):
+        _, out = run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", threads)
+        assert out == want, threads
+    assert sizes == [2, 2, 2]
+    # one path, or one core, needs no pool
+    run(capsys, "--json", "sweep", "theorem", "0", "0", "--threads", "100000")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", "100000")
+    assert sizes == [2, 2, 2]
 
 
 def test_sweep_theorem_small(capsys):

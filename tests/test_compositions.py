@@ -317,18 +317,20 @@ def test_every_layer_reads_one_slide_set_memo():
     # layer's width; (150, 50) is weakly decreasing, so its key row reads
     # the slide set of its own index and no other
     a, w = wc([150, 50]), Window(1, 2)
+    x = pack(a.entries, 8)  # a from w.lo, as the slide sum and key rows pack it
     packed_slides.cache_clear()
     slide_polynomial.cache_clear()
     members = slide_set(a, w)
     slide_polynomial(a, w)
-    chromatic._via_slides([(((1, 150), (2, 50)), 1)], w, 200)
-    keys._key_slide_row(pack(a.entries, 8))
+    chromatic._via_slides({x: 1}, w, 200)
+    keys._key_slide_row(x)
     info = packed_slides.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
-    # an index and a window translated together hit the same entry
+    # an index and a window translated together hit the same entry: the
+    # slide sum packs from the window, so it passes the same int
     for k in (-4, 3):
         assert slide_set(a.shifted(k), Window(1 + k, 2 + k)) == {b.shifted(k) for b in members}
-        chromatic._via_slides([(((1 + k, 150), (2 + k, 50)), 1)], Window(1 + k, 2 + k), 200)
+        chromatic._via_slides({x: 1}, Window(1 + k, 2 + k), 200)
     info = packed_slides.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 7)
 

@@ -24,7 +24,7 @@ from slidechrom import (
     slide_expansion,
     transpose,
 )
-from slidechrom.chromatic import _expansion, _packed_dp, _t_slot, _t_unpack
+from slidechrom.chromatic import _packed_dp, _t_slot, _t_unpack, _terms
 
 SMALL = [p for n in range(6) for r in range(5) for p in enumerate_paths(n, r)]
 # every 50th six-vertex path in scan order (r ascending, words lexicographic)
@@ -116,6 +116,12 @@ def test_small_paths_match_permutation_sum(permutation_rows):
         assert slide_expansion(p, lo=1) == positive_part(full), p.literal
         for lo in (-1, 0, 2):
             assert slide_expansion(p, lo=lo) == part_from(full, lo), (p.literal, lo)
+        # the packed core: each index packed from lo, n.bit_length() bits
+        # per entry, as compositions.pack lays it out
+        graph, rho, bits, slot = dyck_graph(p), restriction_map(p), p.n.bit_length(), _t_slot(p.n)
+        for lo in (1, -1, 0, 2, 1 - p.n):
+            dp = {x: _t_unpack(tc, slot) for x, tc in _packed_dp(graph, rho, lo).items()}
+            assert dp == {a.packed(lo, bits): tc for a, tc in part_from(summed, lo).items()}, (p.literal, lo)
 
 
 def test_six_vertex_sample_matches_permutation_sum():
@@ -207,7 +213,8 @@ def test_flattened_sum_is_fundamental_expansion():
         # the fundamental ones right-justified at 0, so the verdict on
         # [1 - m, 0] checks exactly the expansion that qsym prints
         justified = {WeakComposition(alpha, 1 - len(alpha)): tc for alpha, tc in fundamental.items()}
-        assert _expansion(_packed_dp(dyck_graph(p), (0,) * p.n), p.n) == justified, p.literal
+        lo = 1 - p.n
+        assert _terms(_packed_dp(dyck_graph(p), (0,) * p.n, lo), lo, p.n) == justified, p.literal
 
 
 def test_empty_path():
