@@ -113,12 +113,18 @@ def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int) -> dict[int, int
     blocks increase strictly.
 
     Only the indices whose blocks all sit at lo or above are computed.
-    Bounds never increase as pi grows, so a state whose bound is below
-    lo can only end below lo and is dropped.  Placing u caps the bound at
-    rho(u), so one rho(u) < lo leaves nothing; otherwise only a block
-    close from a state at bound lo goes below it.  lo = 1 - n drops
-    nothing: bounds start at some rho(u) >= 0 and fall by at most one per
-    close, and there are at most n - 1 closes.
+    Bounds never increase as pi grows and every close lowers the bound
+    by at least one.  So a state whose bound, less need(placed, front),
+    the fewest closes in any order of its free vertices, is below lo can
+    only end below lo, and no such state is made, the first letters
+    included; since need is 0 once every vertex is placed, no kept state
+    sits below lo either.  need depends on the graph alone: _dp_tables
+    keeps it per graph, 2^n * n bytes each, for up to 4,096 graphs.  One
+    rho(u) < lo caps some bound below lo and leaves nothing.  lo = 1 - n
+    drops nothing: bounds start at some rho(u) >= 0 and fall by at most
+    one per close, and there are at most n - 1 closes.  Grouping the
+    states by (placed, front), to look need up once per group, ran
+    slower at n = 5 and 6.
 
     With rho = 0 the last block of pi sits at 0 and each block one below
     the block after it: the indices are the fundamental indices
@@ -130,20 +136,15 @@ def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int) -> dict[int, int
     if min(rho) < lo:
         return {}
     full = (1 << n) - 1
-    # vertex v + 1 is bit v: above[v] holds the later vertices not
-    # adjacent to v, lower_nbrs[u] the neighbours of u with smaller labels
-    above = [full & ~((2 << v) - 1) for v in range(n)]
-    lower_nbrs = [0] * n
-    for i, j in graph.edges:
-        above[i - 1] &= ~(1 << (j - 1))
-        lower_nbrs[j - 1] |= 1 << (i - 1)
+    above, lower_nbrs, need = _dp_tables(graph)
+    moves = _moves(n)
     slot, bits = _t_slot(n), n.bit_length()
     # every bound lies in [lo, max(rho)]; bound b is digit b - lo
     shift = [bits * k for k in range(max(rho) - lo + 1)]
     at_or_below = [(1 << s + bits) - 1 for s in shift]
     packed: dict[int, int] = {}
-    # the front vertex is v, at bit v
-    layer = {(1 << u, u, rho[u], 1, 0): 1 for u in range(n)}
+    # the front vertex is v, at bit v; the first letters pass the prune too
+    layer = {(bit, u, rho[u], 1, 0): 1 for bit, u, off in moves[full] if rho[u] - need[off] >= lo}
     while layer:
         nxt: dict[tuple, int] = {}
         get = nxt.get
@@ -158,17 +159,19 @@ def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int) -> dict[int, int
                 packed[closed_now] = packed.get(closed_now, 0) + tc
                 continue
             up = above[v]
-            if bound == lo:
-                free &= up  # a block closed here would end below lo
-            while free:
-                bit = free & -free
-                free ^= bit
-                u = bit.bit_length() - 1
+            row = n * mask
+            for bit, u, off in moves[free]:
                 cap = rho[u]
                 if up & bit:
-                    key = (mask | bit, u, bound if bound < cap else cap, size + 1, closed)
+                    b = bound if bound < cap else cap
+                    if b - need[row + off] < lo:
+                        continue
+                    key = (mask | bit, u, b, size + 1, closed)
                 else:
-                    key = (mask | bit, u, bound - 1 if bound <= cap else cap, 1, closed_now)
+                    b = bound - 1 if bound <= cap else cap
+                    if b - need[row + off] < lo:
+                        continue
+                    key = (mask | bit, u, b, 1, closed_now)
                 moved = tc << slot * (mask & lower_nbrs[u]).bit_count()
                 nxt[key] = get(key, 0) + moved
         layer = nxt
@@ -308,8 +311,58 @@ def verify_fundamental_expansion(path: PartialDyckPath, m: int) -> bool:
     return _verdict(dyck_graph(path), m)
 
 
+@lru_cache(maxsize=16)
+def _moves(n: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """For each set of free vertices as a bitmask, the moves that place
+    one of them: (1 << u, u, n * 2^u + u) for each free vertex u,
+    ascending.  With placed the vertices outside the set, the last is
+    the index of need(placed | 1 << u, u) in a need table of _dp_tables,
+    less n * placed."""
+    return [
+        tuple((1 << u, u, n * (1 << u) + u) for u in range(n) if free >> u & 1)
+        for free in range(1 << n)
+    ]
+
+
 # A scan of P(n, r) meets at most Catalan(n) graphs and n = 1..8 have
-# 2,055 between them, so no scan fills this cache.
+# 2,055 between them, so neither per-graph cache below fills.  A
+# _dp_tables entry holds 2^n * n bytes: about 3 MB for every n = 8 graph.
+@lru_cache(maxsize=4096)
+def _dp_tables(graph: DyckGraph) -> tuple[tuple[int, ...], tuple[int, ...], bytes]:
+    """What _packed_dp reads of the graph, vertex v + 1 as bit v:
+    above[v], the later vertices not adjacent to v (v's successors in the
+    incomparability poset); lower_nbrs[u], the neighbours of u with
+    smaller labels; and need[n * mask + v], the fewest block closes in
+    any ordering of the vertices outside mask prepended to front v in
+    mask.
+
+    need comes from one backward pass over the masks: need(full, v) = 0,
+    and need(mask, v) is the least over free u of need(mask | u, u), plus
+    one unless u is in above[v].  Every free u at the least value is kept
+    in one bitmask, so each entry is one test against above[v]."""
+    n = graph.n
+    full = (1 << n) - 1
+    above = [full & ~((2 << v) - 1) for v in range(n)]
+    lower_nbrs = [0] * n
+    for i, j in graph.edges:
+        above[i - 1] &= ~(1 << (j - 1))
+        lower_nbrs[j - 1] |= 1 << (i - 1)
+    need = bytearray(n << n)
+    moves = _moves(n)
+    for mask in range(full - 1, 0, -1):
+        least, best = n, 0
+        row = n * mask
+        for bit, _, off in moves[full & ~mask]:
+            c = need[row + off]
+            if c < least:
+                least, best = c, bit
+            elif c == least:
+                best |= bit
+        for v in range(n):
+            need[row + v] = least if above[v] & best else least + 1
+    return tuple(above), tuple(lower_nbrs), bytes(need)
+
+
 @lru_cache(maxsize=4096)
 def _verdict(graph: DyckGraph, m: int) -> bool:
     """Both chromatic routes of the graph with rho = 0 on [1-m, 0]."""

@@ -88,15 +88,18 @@ def _refusal(args) -> CommandResult | None:
 
 
 def _size_refusal(n: int, r: int, m: int | None, window) -> CommandResult | None:
-    """Past six vertices a command's work outgrows an interactive run:
-    rdes lists n! permutations, the brute force walks up to r^n
-    colorings, the subset DP up to 2^n placed-vertex sets, and sweep
-    repeats that per path.  Every extra color column multiplies the brute
-    force and the slide sets too, so --m above 6 and a window of more
-    than r + 6 indices are refused as well; the default windows never
-    are."""
+    """Past six vertices or six colors a command's work outgrows an
+    interactive run: rdes lists n! permutations, the brute force walks up
+    to r^n colorings, the subset DP up to 2^n placed-vertex sets, sweep
+    repeats that for each of its paths, whose number grows with r as well
+    as n, and the slide sets of a window grow with its width.  Every
+    extra color column multiplies the brute force and the slide sets too,
+    so --m above 6 and a window of more than r + 6 indices are refused as
+    well; the default windows never are."""
     if n > 6:
         msg = f"refusing n={n} > 6 without --force"
+    elif r > 6:
+        msg = f"refusing r={r} > 6 without --force"
     elif m is not None and m > 6:
         msg = f"refusing --m {m} > 6 without --force"
     elif window is not None and window[1] - window[0] + 1 > r + 6:
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_force(p):
         p.add_argument(
             "--force", action="store_true",
-            help="allow n > 6, --m > 6 and a --window of more than r + 6 indices",
+            help="allow n > 6, r > 6, --m > 6 and a --window of more than r + 6 indices",
         )
 
     p = sub.add_parser("graph", help="edges, restriction map and DOT for a path")

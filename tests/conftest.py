@@ -15,9 +15,11 @@ from slidechrom import (
 
 @pytest.fixture
 def cold_graph_memos():
-    """Empty chromatic.py's per-graph verdict memo, so a test that checks
-    a theorem per path computes every graph itself, whatever ran before."""
+    """Empty chromatic.py's per-graph memos (the verdicts and the subset
+    DP's tables), so a test that checks a theorem per path computes every
+    graph itself, whatever ran before."""
     chromatic._verdict.cache_clear()
+    chromatic._dp_tables.cache_clear()
 
 
 @functools.cache

@@ -189,6 +189,33 @@ def test_force_leaves_six_vertices_unchanged(capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv, r",
+    [
+        # up to 30^6 colorings to walk
+        (["chromatic", "E" * 30 + "NE" * 6 + "@6,30", "--mode", "brute"], 30),
+        (["keys", "EEEEEEENE@1,7"], 7),
+        (["backstable", "EEEEEEENE@1,7", "--m", "1"], 7),
+        # about 4.6 million paths
+        (["sweep", "keys", "2", "300", "--threads", "1"], 300),
+        (["sweep", "theorem", "1", "7", "--threads", "1"], 7),
+    ],
+)
+def test_refuses_large_r(capsys, argv, r):
+    # refused before any work, however cheap the run would be
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"] == {"error": f"refusing r={r} > 6 without --force"}
+
+
+def test_force_allows_large_r(capsys):
+    code, doc = run_json(capsys, "sweep", "theorem", "1", "7", "--threads", "1", "--force")
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["payload"]["paths"] == 1 + 2 + 3 + 4 + 5 + 6 + 7 + 8
+    code, doc = run_json(capsys, "chromatic", "EEEEEEENE@1,7", "--force")
+    assert code == 0 and doc["payload"]["equal"] is True
+
+
+@pytest.mark.parametrize(
     "argv, m",
     [
         (["qsym", "ENE@1,1"], 3000),
@@ -277,6 +304,16 @@ def test_slides_refuses_wide_window(tmp_path, capsys, lo, window):
         (0, "-1"),
         (1, "1"),
     ]
+
+
+def test_slides_refuses_a_window_past_six(tmp_path, capsys):
+    # r is the window's hi; [1, 10^20] would build slide sets 10^20 digits wide
+    fp = _x1_file(tmp_path, 1)
+    for hi in ("7", str(10**20)):
+        code, doc = run_json(capsys, "slides", fp, "--window", "1", hi)
+        assert code == 2 and doc["payload"] == {"error": f"refusing r={hi} > 6 without --force"}
+    code, doc = run_json(capsys, "slides", fp, "--window", "1", "7", "--force")
+    assert code == 0 and doc["payload"]["window"] == [1, 7]
 
 
 def test_slides_accepts_window_at_the_bound(tmp_path, capsys):

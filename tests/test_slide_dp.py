@@ -24,7 +24,7 @@ from slidechrom import (
     slide_expansion,
     transpose,
 )
-from slidechrom.chromatic import _packed_dp, _t_slot, _t_unpack, _terms
+from slidechrom.chromatic import _dp_tables, _packed_dp, _t_slot, _t_unpack, _terms
 
 SMALL = [p for n in range(6) for r in range(5) for p in enumerate_paths(n, r)]
 # every 50th six-vertex path in scan order (r ascending, words lexicographic)
@@ -119,9 +119,41 @@ def test_small_paths_match_permutation_sum(permutation_rows):
         # the packed core: each index packed from lo, n.bit_length() bits
         # per entry, as compositions.pack lays it out
         graph, rho, bits, slot = dyck_graph(p), restriction_map(p), p.n.bit_length(), _t_slot(p.n)
-        for lo in (1, -1, 0, 2, 1 - p.n):
+        # lo = r and r + 1 leave the fewest states alive
+        for lo in (1, -1, 0, 2, 1 - p.n, p.r, p.r + 1):
             dp = {x: _t_unpack(tc, slot) for x, tc in _packed_dp(graph, rho, lo).items()}
             assert dp == {a.packed(lo, bits): tc for a, tc in part_from(summed, lo).items()}, (p.literal, lo)
+
+
+def _fewest_closes(poset, placed, front):
+    # every ordering of the unplaced vertices prepended to front, each
+    # pair (a, b) of neighbours in it a block close unless b < a
+    free = [u for u in range(1, poset.n + 1) if u not in placed]
+    return min(
+        sum(not poset.is_less(b, a) for a, b in itertools.pairwise((*order, front)))
+        for order in itertools.permutations(free)
+    )
+
+
+def test_fewest_closes_table_matches_every_ordering():
+    graphs = {dyck_graph(p) for n in range(1, 6) for p in enumerate_paths(n, 0)}
+    assert len(graphs) == 1 + 2 + 5 + 14 + 42
+    entries = 0
+    for graph in graphs:
+        n, poset = graph.n, incomparability_poset(graph)
+        above, lower_nbrs, need = _dp_tables(graph)
+        assert len(need) == n << n
+        for v in range(n):
+            assert above[v] == sum(1 << u for u in range(n) if poset.is_less(v + 1, u + 1))
+            assert lower_nbrs[v] == sum(1 << u for u in range(v) if (u + 1, v + 1) in graph.edges)
+        for mask in range(1, 1 << n):
+            placed = {u + 1 for u in range(n) if mask >> u & 1}
+            for front in placed:
+                assert need[n * mask + front - 1] == _fewest_closes(poset, placed, front), (
+                    graph.sorted_edges(), sorted(placed), front)
+                entries += 1
+    # each graph has n * 2^(n - 1) (placed set, front) pairs
+    assert entries == sum(g.n << g.n - 1 for g in graphs) == 3_877
 
 
 def test_six_vertex_sample_matches_permutation_sum():
