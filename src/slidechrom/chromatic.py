@@ -3,10 +3,13 @@ independent ways: brute-force over bounded proper colorings, and as a
 permutation sum of slide polynomials, evaluated by a dynamic program
 over subsets.  Each route is a private core over (graph, rho) behind a
 public function of the path; the cores work on packed ints and are
-compared as {int: int} dicts in one layout, and one converter (_terms)
-turns them into WeakComposition terms at the public boundary.  The
-fundamental expansion of the nonpositive-variable specialization is
-the same DP with rho = 0.
+compared as {int: int} dicts in one layout (_routes), and one converter
+(_terms) turns them into WeakComposition terms at the public boundary.
+Only the single-path commands build a ChromaticReport; sweeps read only
+a verdict and decide it on the packed dicts (chromatic_verdict).  The
+report is not lazy: the benchmark replaces its via_slides and dumps both
+of its polynomials.  The fundamental expansion of the
+nonpositive-variable specialization is the same DP with rho = 0.
 """
 
 from __future__ import annotations
@@ -40,13 +43,13 @@ def _brute(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> dict[int, int]:
     if n == 0:
         return {0: 1}
     bits, slot = n.bit_length(), _t_slot(n)
-    # vertex v + 1 is index v: its colors with their count units, and its
-    # neighbours with smaller labels
-    colors = [
-        [(c, 1 << bits * (c - w.lo)) for c in range(w.lo, min(rho[v], w.hi) + 1)]
-        for v in range(n)
-    ]
-    nbrs = [[u for u in range(v) if (u + 1, v + 1) in graph.edges] for v in range(n)]
+    # vertex v + 1 is index v: its colors with their count units, a prefix
+    # of the window's, and its neighbours with smaller labels
+    units = [(c, 1 << bits * (c - w.lo)) for c in w.indices()]
+    colors = [units[: max(0, rho[v] + 1 - w.lo)] for v in range(n)]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in graph.edges:
+        nbrs[j - 1].append(i - 1)
     found: dict[int, int] = {}
     get = found.get
     f = [0] * n
@@ -271,12 +274,26 @@ class ChromaticReport:
         return slide_expansion(self.path)
 
 
+def _routes(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> tuple[dict[int, int], dict[int, int]]:
+    """Both chromatic routes of the graph with bounds rho on w, packed as
+    in _terms from w.lo: the brute force and the slide sum.  They are
+    equal as dicts exactly when they are equal as polynomials (_t_slot)."""
+    return _brute(graph, rho, w), _via_slides(_packed_dp(graph, rho, w.lo), w, graph.n)
+
+
+def chromatic_verdict(path: PartialDyckPath, w: Window) -> tuple[bool, bool]:
+    """compare_chromatic(path, w)'s equal and nonnegative, decided on the
+    packed dicts alone: no report, TPolynomial or WeakComposition is
+    built.  A packed value >= 0 unpacks to t-coefficients >= 0."""
+    packed, summed = _routes(dyck_graph(path), restriction_map(path), w)
+    return packed == summed, all(tc >= 0 for tc in packed.values())
+
+
 def compare_chromatic(path: PartialDyckPath, w: Window) -> ChromaticReport:
     """Run both routes on one graph and rho; report equality and positivity.
     The routes are compared packed (see _t_slot) and converted once."""
-    graph, rho = dyck_graph(path), restriction_map(path)
-    packed = _brute(graph, rho, w)
-    summed = _via_slides(_packed_dp(graph, rho, w.lo), w, graph.n)
+    graph = dyck_graph(path)
+    packed, summed = _routes(graph, restriction_map(path), w)
     equal = packed == summed
     brute = _polynomial(packed, w, graph.n)
     mismatches = []
@@ -285,7 +302,7 @@ def compare_chromatic(path: PartialDyckPath, w: Window) -> ChromaticReport:
     else:
         via = _polynomial(summed, w, graph.n)
         mismatches = sorted((brute - via).terms.items(), key=lambda it: (it[0].lo, it[0].entries))
-    nonneg = all(c >= 0 for tc in brute.terms.values() for c in tc.values())
+    nonneg = all(tc >= 0 for tc in packed.values())
     return ChromaticReport(
         path=path, window=w, brute=brute, via_slides=via,
         equal=equal, nonnegative=nonneg, mismatches=mismatches,
@@ -366,9 +383,8 @@ def _dp_tables(graph: DyckGraph) -> tuple[tuple[int, ...], tuple[int, ...], byte
 @lru_cache(maxsize=4096)
 def _verdict(graph: DyckGraph, m: int) -> bool:
     """Both chromatic routes of the graph with rho = 0 on [1-m, 0]."""
-    zeros = (0,) * graph.n
-    w = Window(1 - m, 0)
-    return _brute(graph, zeros, w) == _via_slides(_packed_dp(graph, zeros, w.lo), w, graph.n)
+    packed, summed = _routes(graph, (0,) * graph.n, Window(1 - m, 0))
+    return packed == summed
 
 
 def verify_backstable(path: PartialDyckPath, m: int) -> ChromaticReport:

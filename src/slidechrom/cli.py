@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .chromatic import (
     chromatic_brute,
+    chromatic_verdict,
     chromatic_via_slides,
     compare_chromatic,
     fundamental_expansion,
@@ -328,12 +329,13 @@ _SWEEP_CACHE: dict = {}
 def _sweep_one(task):
     mode, literal, m = task
     path = PartialDyckPath.parse(literal)
+    # theorem and backstable decide on the packed routes and build no report
     if mode == "theorem":
-        rep = compare_chromatic(path, Window(1, path.r))
-        return {"path": literal, "ok": rep.ok}
+        equal, nonnegative = chromatic_verdict(path, Window(1, path.r))
+        return {"path": literal, "ok": equal and nonnegative}
     if mode == "backstable":
-        rep = verify_backstable(path, m)
-        return {"path": literal, "ok": rep.equal}
+        equal, _ = chromatic_verdict(path, Window(1 - m, path.r))
+        return {"path": literal, "ok": equal}
     if mode == "corollary":
         return {"path": literal, "ok": verify_fundamental_expansion(path, m)}
     if mode == "keys":
@@ -490,6 +492,10 @@ def main(argv=None) -> int:
         result = _refusal(args) or args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         result = CommandResult("error", {"error": str(exc)}, [f"error: {exc}"])
+    except MemoryError:
+        # a --force run too large for memory is an error, not a mismatch
+        msg = "out of memory"
+        result = CommandResult("error", {"error": msg}, [f"error: {msg}"])
     doc = {"status": result.status, "command": args.command, "payload": result.payload}
     if args.json:
         sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")

@@ -297,10 +297,13 @@ def packed_slides(x: int, digits: int, bits: int) -> tuple[int, ...]:
     window translated together share one entry.  The parts come from
     every digit of x and the prefix sums from the window's digits only:
     an index past the window's top still slides into it, and on an empty
-    window a nonzero index has no members.
+    window a nonzero index has no members.  No member reaches past x's
+    top digit, where its prefix sum already equals the weight, so the
+    walk never reads the window's digits above it: the cost follows x,
+    not the width of the window.
     """
     vec = unpack(x, bits)
-    prefix = list(itertools.accumulate((vec + (0,) * digits)[:digits]))
+    prefix = list(itertools.accumulate(vec[:digits]))
     return tuple(slide_walk(tuple(v for v in vec if v), prefix, bits))
 
 

@@ -23,6 +23,7 @@ from slidechrom import (
     verify_backstable,
     verify_fundamental_expansion,
 )
+from slidechrom.chromatic import chromatic_verdict
 from slidechrom.cli import _sweep_one, main
 
 THREE = PartialDyckPath.parse("ENEENENEE@3,3")
@@ -134,14 +135,16 @@ def _colorings_by_product(p, w):
 
 
 def test_brute_matches_product_enumeration():
+    # [2, r + 1] starts above some rho(i) + 1 (rho(1) <= 1), leaving that
+    # vertex no color
     cases = 0
     for n in range(5):
         for r in range(4):
             for p in enumerate_paths(n, r):
-                for w in (Window(1, r), Window(-1, r), Window(1 - n, 0)):
+                for w in (Window(1, r), Window(-1, r), Window(1 - n, 0), Window(2, r + 1)):
                     assert chromatic_brute(p, w).terms == _colorings_by_product(p, w), (p.literal, w)
                     cases += 1
-    assert cases == 3 * 450
+    assert cases == 4 * 450
 
 
 def _assert_canonical(poly, w):
@@ -175,6 +178,11 @@ def _assert_mismatch_reported(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 1 and doc["status"] == "mismatch"
     assert doc["payload"]["equal"] is False and "mismatches" in doc["payload"]
+    # the sweep decides on the packed routes and must see the fault too
+    code = main(["--json", "sweep", "theorem", "3", "3", "--threads", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["status"] == "mismatch"
+    assert THREE.literal in doc["payload"]["failures"]
 
 
 def test_mismatch_is_reported(monkeypatch, capsys):
@@ -184,6 +192,8 @@ def test_mismatch_is_reported(monkeypatch, capsys):
 
     def doubled(graph, rho, lo):
         dp = true_dp(graph, rho, lo)
+        if not dp:  # a path whose rho reaches below lo, met in the sweep
+            return dp
         least = min(dp)
         return {**dp, least: 2 * dp[least]}
 
@@ -216,6 +226,35 @@ def test_theorem_equality_small_sweep():
             for p in enumerate_paths(n, r):
                 rep = compare_chromatic(p, Window(1, r))
                 assert rep.ok, p.literal
+
+
+def test_sweep_verdicts_match_the_reports():
+    # sweeps decide on the packed dicts, reports on the converted polynomials
+    for n in range(0, 5):
+        for r in range(0, 4):
+            for p in enumerate_paths(n, r):
+                rep = compare_chromatic(p, Window(1, r))
+                assert chromatic_verdict(p, Window(1, r)) == (rep.equal, rep.nonnegative)
+                assert _sweep_one(("theorem", p.literal, None))["ok"] is rep.ok, p.literal
+                for m in (0, 1, 2):
+                    ok = _sweep_one(("backstable", p.literal, m))["ok"]
+                    assert ok is verify_backstable(p, m).equal, (p.literal, m)
+
+
+def test_sweep_theorem_builds_no_polynomial(monkeypatch, capsys):
+    # one brute force and one DP per path, and nothing converted
+    calls = {"_brute": 0, "_packed_dp": 0, "_polynomial": 0, "_terms": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(chromatic, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(chromatic, name, counted)
+    code = main(["--json", "sweep", "theorem", "4", "3", "--threads", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["payload"]["failures"] == []
+    paths = doc["payload"]["paths"]
+    assert calls == {"_brute": paths, "_packed_dp": paths, "_polynomial": 0, "_terms": 0}
 
 
 def test_orientation_partition_identity():

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from slidechrom import NegativeRecord, WeakComposition, chromatic, search_negative_records
+from slidechrom import NegativeRecord, WeakComposition, chromatic, cli, search_negative_records
 from slidechrom.cli import main
 
 
@@ -319,6 +319,20 @@ def test_slides_refuses_a_window_past_six(tmp_path, capsys):
 def test_slides_accepts_window_at_the_bound(tmp_path, capsys):
     code, doc = run_json(capsys, "slides", _x1_file(tmp_path, -5))
     assert code == 0 and doc["payload"]["window"] == [-5, 3]
+
+
+def test_out_of_memory_is_an_error_not_a_mismatch(tmp_path, capsys, monkeypatch):
+    # exit 1 means a mismatch; a --force run too large for memory is exit 2
+    def exhausted(p, w):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "expand_in_slides", exhausted)
+    fp = _x1_file(tmp_path, 1)
+    code, doc = run_json(capsys, "slides", fp, "--window", "1", "100000000", "--force")
+    assert code == 2
+    assert doc == {"status": "error", "command": "slides", "payload": {"error": "out of memory"}}
+    code, out = run(capsys, "slides", fp)
+    assert code == 2 and out == "error: out of memory\nstatus: error\n"
 
 
 def test_backstable(capsys):

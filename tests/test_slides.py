@@ -15,6 +15,7 @@ from slidechrom import (
     tail_strong_decomposition,
 )
 from slidechrom import slides
+from slidechrom.compositions import pack, packed_slides
 from slidechrom.slides import is_tail_strong
 
 
@@ -173,6 +174,18 @@ def test_expand_nonzero_remainder_raises(monkeypatch):
     monkeypatch.setattr(slides, "packed_slides", headless)
     with pytest.raises(RuntimeError, match="remainder"):
         expand_in_slides(p, w)
+
+
+def test_expand_on_a_window_far_wider_than_the_index():
+    # a slide set never reaches past its index's top digit, so neither the
+    # walk nor the peel may scale with the window: 10^8 digits of padding
+    # once raised MemoryError
+    a, wide = wc([1, 0, 1]), Window(1, 10**8)
+    x = pack(a.entries, 2)
+    assert packed_slides(x, 10**8, 2) == packed_slides(x, 3, 2)
+    assert packed_slides(pack((1,), 1), 10**8, 1) == (1,)
+    for p in (slide_polynomial(wc([1]), Window(1, 1)), TPolynomial(Window(1, 3), {a: {0: 1}})):
+        assert expand_in_slides(p.with_window(wide), wide) == expand_in_slides(p, p.window)
 
 
 def test_expand_zero():
