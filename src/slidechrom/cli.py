@@ -77,10 +77,15 @@ def _check_m(m: int | None) -> None:
 def _refusal(args) -> CommandResult | None:
     """The error result for a run too large to start without --force,
     checked before every command that has the option; slides checks its
-    window itself, once the file is read."""
+    window itself, once the file is read, and paths refuses only --list.
+    A sweep --m its mode never reads raises ValueError, forced or not."""
+    if args.command == "sweep" and args.m is not None and args.mode in ("theorem", "keys"):
+        raise ValueError(f"sweep {args.mode} reads no --m; only backstable and corollary do")
     if getattr(args, "force", True) or args.command == "slides":
         return None
-    if args.command == "sweep":
+    if args.command == "paths" and not args.list:
+        return None  # a count is a closed form
+    if args.command in ("sweep", "paths"):
         n, r = args.n, args.r
     else:
         path = PartialDyckPath.parse(args.path)
@@ -481,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
     p.add_argument("--list", action="store_true")
+    add_force(p)
     p.set_defaults(func=cmd_paths)
 
     return ap

@@ -8,7 +8,8 @@ of positive ints.  A packed exponent vector is one int with a fixed
 number of bits per entry, the first entry in the low digit (pack,
 unpack, WeakComposition.packed).  slide_walk builds slide sets in that
 form for packed_slides, the one slide-set memo every layer reads, and
-prefix_grade is the peel grade the slide and key peels share.
+slide_terms reads it on an index's own digits as the basis of both
+slide peels (tpoly.peel).
 """
 
 from __future__ import annotations
@@ -319,22 +320,13 @@ def slide_set(a: WeakComposition, w: Window) -> set[WeakComposition]:
     }
 
 
-def prefix_grade(digits: int, bits: int):
-    """Peel grade of packed exponents on digits digits of bits bits:
-    (x * ones) & mask, where ones has a 1 in each of the low digits.
-
-    Digit k of the product is e_0 + ... + e_k, a prefix sum, which cannot
-    carry while the weight is below 2 ** bits.  So the grade reads the
-    prefix-sum vector from its last entry down, and its integer order is
-    reverse-lex on prefix sums.  That extends dominance: if b dominates a
-    and b != a, the first prefix sum from the top where they differ is
-    larger for b.  Every slide-set member of m other than m itself, and
-    every monomial of the key polynomial of m other than x^m, dominates
-    m, so it has a strictly larger grade, which is all tpoly.peel needs.
-    """
-    mask = (1 << (bits * digits)) - 1
-    ones = mask // ((1 << bits) - 1)
-    return lambda x: (x * ones) & mask
+def slide_terms(x: int, bits: int) -> Iterator[tuple[int, int]]:
+    """The slide polynomial of a packed index as (member, 1) pairs, read
+    from packed_slides on the index's own digits: the basis of both slide
+    peels (tpoly.peel).  No member reaches past the index's top digit, so
+    on any wider window with the same low digit the slide set is the
+    same, and the cost never follows the window's width."""
+    return zip(packed_slides(x, -(-x.bit_length() // bits), bits), itertools.repeat(1))
 
 
 def comp_of_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:

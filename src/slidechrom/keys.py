@@ -5,27 +5,25 @@ Key polynomials live in x_1..x_r.  Inside this module an exponent is
 one packed int (compositions.pack): 8 bits per entry, x_1 in the low
 digit, so x^e times x_i is e + (1 << 8(i - 1)).  Key monomials,
 key-to-slide rows and the chromatic key peel all use it, slide sets are
-read in it from the shared memo (compositions.packed_slides), and
+read in it on each index's own digits (compositions.slide_terms), and
 key_polynomial, expand_in_keys and key_expansion_of_chromatic convert
 to and from WeakComposition at their boundaries.  An entry, and so
-every prefix sum the grade (compositions.prefix_grade) reads, must fit
-in a digit: each of the three refuses a weight above 255 with
-ValueError.  A key polynomial's coefficients are plain ints (t^0 only).
-The expansion solves the change of basis exactly over Z[t] and
+every prefix sum the peel's grade (tpoly.peel) reads, must fit in a
+digit: each of the three refuses a weight above 255 with ValueError.
+A key polynomial's coefficients are plain ints (t^0 only).  The
+expansion solves the change of basis exactly over Z[t] and
 certifies itself by reducing the input to zero; a nonzero remainder
 raises, so a wrong answer cannot be returned silently.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from .chromatic import slide_expansion
-from .compositions import WeakComposition, Window, packed_slides, prefix_grade, unpack
+from .compositions import WeakComposition, Window, slide_terms, unpack
 from .dyck import PartialDyckPath, scan_paths
 from .tpoly import (
     TCoeff,
@@ -138,19 +136,19 @@ def expand_in_keys(
     """Write p (exponents inside [1, r], weight at most 255) as a
     Z[t]-combination of keys.
 
-    Peeled by tpoly.peel with the packed grade on [1, r] (prefix_grade),
-    which grows whenever a unit of exponent moves to a smaller index: every
-    monomial of kappa_m other than x^m has a larger grade than m.  A
-    nonzero remainder raises tpoly.ExpansionError; a zero one certifies
-    that the returned coefficients are exactly the unique key-basis
-    coordinates of p.
+    Peeled by tpoly.peel on packed exponents, whose prefix-sum grade
+    grows whenever a unit of exponent moves to a smaller index: every
+    monomial of kappa_m other than x^m dominates m and reaches no higher
+    index, so it has a larger grade than m.  A nonzero remainder raises
+    tpoly.ExpansionError; a zero one certifies that the returned
+    coefficients are exactly the unique key-basis coordinates of p.
     """
     names: dict[int, WeakComposition] = {}  # reused as result keys
     for e in p.terms:
         if e.weight() and (e.lo < 1 or e.hi > r):
             raise ValueError(f"exponent {e} outside [1, {r}]")
         names[_packed(e)] = e
-    found = peel({x: p.terms[e] for x, e in names.items()}, _key_terms, prefix_grade(r, _BITS))
+    found = peel({x: p.terms[e] for x, e in names.items()}, _key_terms, _BITS)
     return {names.get(m) or WeakComposition(unpack(m, _BITS)): tc for m, tc in found.items()}
 
 
@@ -194,29 +192,18 @@ class NegativeRecord:
         )
 
 
-def _slide_terms(x: int) -> Iterator[tuple[int, int]]:
-    """Monomials of the slide polynomial of a packed index on
-    [1, len(index)], which is its slide polynomial on any [1, R] with
-    R >= len(index): a b that dominates the index with the same weight
-    has no entry past len(index).  Each has coefficient 1."""
-    return zip(packed_slides(x, -(-x.bit_length() // _BITS), _BITS), itertools.repeat(1))
-
-
 def _key_slide_row(b: int) -> tuple[tuple[int, int], ...]:
     """The slide expansion of the key polynomial of a packed index on
     [1, len(b)], as (packed slide index, coefficient) pairs.
 
-    Peeled from the memoised key monomials with the packed grade, which
-    is a slide grade as well as a key grade.  Keys are nonnegative sums
-    of slides (Assaf-Searles), with the slide of b itself once and every
-    other slide index of a larger grade, so the rows form a unitriangular
-    change of basis.
+    Peeled by tpoly.peel from the memoised key monomials over the slide
+    basis compositions.slide_terms; the peel's prefix-sum grade is a
+    slide grade as well as a key grade.  Keys are nonnegative sums of
+    slides (Assaf-Searles), with the slide of b itself once and every
+    other slide index of a larger grade, so the rows form a
+    unitriangular change of basis.
     """
-    found = peel(
-        {e: {0: c} for e, c in _key_terms(b)},
-        _slide_terms,
-        prefix_grade(len(unpack(b, _BITS)), _BITS),
-    )
+    found = peel({e: {0: c} for e, c in _key_terms(b)}, lambda x: slide_terms(x, _BITS), _BITS)
     return tuple((a, tc[0]) for a, tc in found.items())
 
 
@@ -230,10 +217,11 @@ def key_expansion_of_chromatic(
     positive window is peeled with key-to-slide rows (_key_slide_row),
     never through the assembled polynomial.  Slide polynomials on [1, R]
     are linearly independent, so the zero remainder that certifies the
-    peel certifies equality of polynomials.  The grade is the packed one
-    (prefix_grade); every index of one peel has weight n, so any R at or
-    above the support gives the same order.  Raises ValueError for a
-    path with more than 255 vertices, whose weight does not fit a digit.
+    peel certifies equality of polynomials.  The peel builds its grade
+    from the packed indices themselves; no row entry reaches past its
+    key index's top digit, so that grade orders every index the peel
+    meets.  Raises ValueError for a path with more than 255 vertices,
+    whose weight does not fit a digit.
 
     The cache maps a packed key index b to (b as a WeakComposition, its
     row) and can be shared across a scan: a row depends on b alone, and
@@ -255,7 +243,7 @@ def key_expansion_of_chromatic(
         return cache[b][1]
 
     terms = {_packed(a): tc for a, tc in expansion.items()}
-    found = peel(terms, row, prefix_grade(max(a.hi for a in expansion), _BITS))
+    found = peel(terms, row, _BITS)
     return {cache[b][0]: tc for b, tc in found.items()}
 
 

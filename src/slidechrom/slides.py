@@ -1,16 +1,15 @@
 """Slide polynomials over integer windows, their expansion algorithm (a
-packed peel over the slide-set memo compositions.packed_slides),
-fundamental quasisymmetric polynomials, and the tail-strong product
-decomposition that splits a slide index into a nonpositive fundamental
-part and positive slide parts.
+packed peel over compositions.slide_terms, each slide set read on its
+index's own digits), fundamental quasisymmetric polynomials, and the
+tail-strong product decomposition that splits a slide index into a
+nonpositive fundamental part and positive slide parts.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
-from .compositions import WeakComposition, Window, packed_slides, prefix_grade, slide_set, unpack
+from .compositions import WeakComposition, Window, slide_set, slide_terms, unpack
 from .tpoly import TCoeff, TPolynomial, peel
 
 
@@ -67,25 +66,23 @@ def expand_in_slides(
 ) -> dict[WeakComposition, TCoeff]:
     """Write p as a Z[t]-combination of slide polynomials on w.
 
-    Peeled by tpoly.peel on packed exponents (index w.lo in the low
-    digit), the basis read from packed_slides and graded by prefix_grade,
-    under which every other member of a slide set is larger than its
-    index, at nonpositive indices too; only the result is converted back.
-    Raises ValueError if p has an exponent outside w and
-    tpoly.ExpansionError (a RuntimeError) if the peel cannot certify its
-    result, which would indicate a bug.
+    Peeled by tpoly.peel on packed exponents, index w.lo in the low
+    digit, with the basis compositions.slide_terms: a slide set read on
+    its index's own digits, which is the index's slide set on w, since
+    no member reaches past the index's top digit.  Only w.lo and the
+    exponents set the digits, never w's width; only the result is
+    converted back.  Raises ValueError if p has an exponent outside w
+    and tpoly.ExpansionError (a RuntimeError) if the peel cannot certify
+    its result, which would indicate a bug.
     """
     for e in p.terms:
         if not e.supported_in(w):
             raise ValueError(f"exponent {e} not supported in window {w}")
-    # at least one bit: a weight-0 polynomial would leave no digits to grade
+    # at least one bit per digit, even for a weight-0 polynomial
     bits = max(1, max(map(WeakComposition.weight, p.terms), default=0)).bit_length()
-    digits = len(w.indices())
     names = {e.packed(w.lo, bits): e for e in p.terms}  # reused as result keys
     found = peel(
-        {x: p.terms[e] for x, e in names.items()},
-        lambda x: zip(packed_slides(x, digits, bits), itertools.repeat(1)),
-        prefix_grade(digits, bits),
+        {x: p.terms[e] for x, e in names.items()}, lambda x: slide_terms(x, bits), bits
     )
     return {names.get(x) or WeakComposition(unpack(x, bits), w.lo): tc for x, tc in found.items()}
 

@@ -10,8 +10,9 @@ never silently truncate: a term outside the window raises.
 combine sums tc * basis(k) over an expansion of t-coefficient dicts;
 it is behind every TPolynomial operation (+, -, *, scaled,
 evaluate_all_ones) and the divided difference in keys.  peel, the
-inverse, subtracts c * k in place.  The chromatic routes do not use
-either: they add t-coefficients packed into ints (chromatic._t_slot).
+inverse, subtracts c * k in place on packed exponents, which it grades.
+The chromatic routes do not use either: they add t-coefficients packed
+into ints (chromatic._t_slot).
 """
 
 from __future__ import annotations
@@ -287,33 +288,45 @@ class ExpansionError(RuntimeError):
 
 
 def peel(
-    terms: Mapping[E, Mapping[int, int]],
-    basis: Callable[[E], Iterable[tuple[E, int]]],
-    grade: Callable[[E], int],
-) -> dict[E, TCoeff]:
-    """Coordinates of sum(tc * x^e over terms) in a unitriangular basis.
+    terms: Mapping[int, Mapping[int, int]],
+    basis: Callable[[int], Iterable[tuple[int, int]]],
+    bits: int,
+) -> dict[int, TCoeff]:
+    """Coordinates of sum(tc * x^e over terms) in a unitriangular basis,
+    each exponent packed bits bits per entry (compositions.pack).
 
     basis(m) lists the monomials of the basis element indexed by m with
-    nonzero integer coefficients: x^m with coefficient 1, and others of
-    strictly larger grade.  Each remaining exponent carries its whole
-    Z[t] coefficient, so every basis element is fetched and subtracted
-    once.  A heap yields the remaining exponent m of smallest grade; no
-    basis element still to be subtracted has a monomial at m, so the
-    coefficient of m is final.  Subtracting coefficient * basis(m)
-    pushes the exponents that newly appear; entries that cancel are
-    skipped when popped.  Ties in grade need no order, since the
-    expansion is unique.
+    nonzero integer coefficients: x^m with coefficient 1, and others that
+    dominate m and have no entry past m's top digit.  The grade is
+    (x * ones) & mask, ones a 1 in each digit up to the highest top digit
+    of terms, so digit k holds the prefix sum e_0 + ... + e_k, which
+    cannot carry while the weight is below 2 ** bits.  Its integer order
+    is reverse-lex on prefix sums, which extends dominance: if b
+    dominates a and b != a, the first prefix sum from the top where they
+    differ is larger for b.  So every other monomial of basis(m) has a
+    strictly larger grade than m.
+
+    Each remaining exponent carries its whole Z[t] coefficient, so every
+    basis element is fetched and subtracted once.  A heap yields the
+    remaining exponent m of smallest grade; no basis element still to be
+    subtracted has a monomial at m, so the coefficient of m is final.
+    Subtracting coefficient * basis(m) pushes the exponents that newly
+    appear; entries that cancel are skipped when popped.  Ties in grade
+    need no order, since the expansion is unique.
 
     Raises ExpansionError when an exponent is peeled twice (the round
     guard: it bounds the rounds by the number of exponents) or when a
     nonzero remainder is left; a zero one certifies that the result is
     exactly the unique basis coordinates.
     """
+    digits = -(-max(map(int.bit_length, terms), default=0) // bits)
+    mask = (1 << bits * digits) - 1
+    ones = mask // ((1 << bits) - 1)
     rem = {e: dict(tc) for e, tc in terms.items() if tc}
     tie = itertools.count()
-    heap = [(grade(e), next(tie), e) for e in rem]
+    heap = [((e * ones) & mask, next(tie), e) for e in rem]
     heapq.heapify(heap)
-    out: dict[E, TCoeff] = {}
+    out: dict[int, TCoeff] = {}
     while heap:
         m = heapq.heappop(heap)[2]
         tc = rem.get(m)
@@ -327,7 +340,7 @@ def peel(
             cur = rem.get(e)
             if cur is None:
                 rem[e] = {d: -c * k for d, c in items}
-                heapq.heappush(heap, (grade(e), next(tie), e))
+                heapq.heappush(heap, ((e * ones) & mask, next(tie), e))
                 continue
             for d, c in items:
                 v = cur.get(d, 0) - c * k

@@ -2,6 +2,10 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -321,6 +325,24 @@ def test_slides_accepts_window_at_the_bound(tmp_path, capsys):
     assert code == 0 and doc["payload"]["window"] == [-5, 3]
 
 
+def test_slides_on_a_window_of_ten_billion_indices_fits_one_gib(tmp_path):
+    # the slide peel reads each slide set on its index's own digits and
+    # grades only the digits its terms reach, so x1 on [1, 10^10] costs no
+    # more than on [1, 3]; a grade over the window's width once needed two
+    # 1.25 GB ints and ended in "out of memory"
+    def one_gib():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["--json", "slides", _x1_file(tmp_path, 1), "--window", "1", "10000000000", "--force"]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slidechrom", *argv],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=one_gib,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+
+
 def test_out_of_memory_is_an_error_not_a_mismatch(tmp_path, capsys, monkeypatch):
     # exit 1 means a mismatch; a --force run too large for memory is exit 2
     def exhausted(p, w):
@@ -393,11 +415,24 @@ def test_paths_list(capsys):
 
 
 def test_paths_list_longer_than_the_recursion_limit(capsys):
-    code, doc = run_json(capsys, "paths", "1", "1500", "--list")
+    code, doc = run_json(capsys, "paths", "1", "1500", "--list", "--force")
     lits = doc["payload"]["paths"]
     assert code == 0 and len(lits) == doc["payload"]["count"] == 1501
     assert lits[0] == "E" * 1500 + "NE@1,1500"
     assert lits[-1] == "N" + "E" * 1501 + "@1,1500"
+
+
+@pytest.mark.parametrize("n, r", [("7", "1"), ("1", "7")])
+def test_paths_list_needs_force_past_six(capsys, n, r):
+    # a list has count entries, which grow past an interactive run as
+    # n or r passes six; the count itself is a closed form, never refused
+    code, doc = run_json(capsys, "paths", n, r, "--list")
+    assert code == 2 and doc["status"] == "error"
+    assert "without --force" in doc["payload"]["error"]
+    code, doc = run_json(capsys, "paths", n, r, "--list", "--force")
+    assert code == 0 and len(doc["payload"]["paths"]) == doc["payload"]["count"]
+    code, doc = run_json(capsys, "paths", "30", "30")
+    assert code == 0 and doc["payload"]["count"] == 342083970650885005051344
 
 
 @pytest.mark.parametrize("n, r", [("-1", "2"), ("2", "-1")])
@@ -477,6 +512,17 @@ def test_sweep_rejects_m_below_one(capsys, mode):
     )
     assert code == 2 and doc["status"] == "error"
     assert "--m must be >= 1" in doc["payload"]["error"]
+
+
+@pytest.mark.parametrize("mode", ["theorem", "keys"])
+@pytest.mark.parametrize("m", ["0", "5", "9"])
+def test_sweep_rejects_m_where_the_mode_reads_none(capsys, mode, m):
+    # neither mode reads --m, so a value is an error, forced or not, and
+    # never a size refusal
+    for force in ((), ("--force",)):
+        code, doc = run_json(capsys, "sweep", mode, "2", "2", "--m", m, "--threads", "1", *force)
+        assert code == 2 and doc["status"] == "error"
+        assert "backstable and corollary" in doc["payload"]["error"]
 
 
 def test_sweep_corollary(capsys):

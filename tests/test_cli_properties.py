@@ -90,7 +90,7 @@ def argvs(draw, files):
         argv += ["--threads", str(draw(st.sampled_from((-1, 0, 1))))]
     if command == "paths" and flag():
         argv += ["--list"]
-    if command not in ("graph", "paths") and flag():
+    if command != "graph" and flag():
         argv += ["--force"]
     if flag():
         argv = ["--json", *argv]

@@ -4,8 +4,8 @@ never uses, every name in __all__ resolves, and every definition is
 referenced somewhere in the repository, and only the oracles are referenced
 from tests alone.  Importing the package and its
 CLI also leaves the process pool's module unloaded, the benchmark's
-tracer finds every name it wraps, and only the slide-set memo runs the
-slide walk."""
+tracer finds every name it wraps, only the slide-set memo runs the
+slide walk, and no peel reads that memo on a window's digits."""
 
 import ast
 import os
@@ -156,6 +156,25 @@ def test_slide_walk_feeds_only_the_slide_set_memo():
         if "slide_walk" in set(_references(node))
     )
     assert users == ["compositions.py:packed_slides"], users
+
+
+def test_only_the_window_cuts_read_the_slide_set_memo_on_window_digits():
+    # both slide peels read slide sets through compositions.slide_terms, on
+    # each index's own digits; slide_set and chromatic._via_slides pass a
+    # window's digits, since they must cut off indices past its top.  Any
+    # other reader, an import included, could tie a peel to the window's width
+    users = sorted(
+        f"{path.name}:{getattr(node, 'name', type(node).__name__)}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if "packed_slides" in set(_references(node))
+    )
+    assert users == [
+        "chromatic.py:ImportFrom",
+        "chromatic.py:_via_slides",
+        "compositions.py:slide_set",
+        "compositions.py:slide_terms",
+    ], users
 
 
 def test_slide_dp_stays_independent_of_the_poset_oracle():

@@ -166,12 +166,12 @@ def test_expand_nonzero_remainder_raises(monkeypatch):
     # missing) cannot peel x2
     w = Window(1, 2)
     p = slide_polynomial(wc([0, 1]), w)
-    real = slides.packed_slides
+    real = slides.slide_terms
 
-    def headless(x, digits, bits):
-        return tuple(y for y in real(x, digits, bits) if y != x)
+    def headless(x, bits):
+        return ((y, k) for y, k in real(x, bits) if y != x)
 
-    monkeypatch.setattr(slides, "packed_slides", headless)
+    monkeypatch.setattr(slides, "slide_terms", headless)
     with pytest.raises(RuntimeError, match="remainder"):
         expand_in_slides(p, w)
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from slidechrom import TPolynomial, WeakComposition, Window
+from slidechrom.compositions import pack
 from slidechrom.tpoly import (
     ExpansionError,
     combine,
@@ -227,10 +228,12 @@ def test_from_json_reads_int_and_decimal_coefficients():
 
 def test_peel_round_guard():
     # a basis that is not unitriangular for the grade brings the peeled
-    # exponent "a" back; the guard stops the peel instead of looping
-    basis = {"a": [("a", 1), ("b", 1)], "b": [("b", 1), ("a", 1)]}
+    # exponent back: x2 lists x1, as its slide set would, but x1 lists x2,
+    # of smaller grade; the guard stops the peel instead of looping
+    x1, x2 = pack((1,), 2), pack((0, 1), 2)
+    basis = {x2: [(x2, 1), (x1, 1)], x1: [(x1, 1), (x2, 1)]}
     with pytest.raises(ExpansionError, match="peeled twice"):
-        peel({"a": {0: 1}}, basis.__getitem__, {"a": 0, "b": 1}.__getitem__)
+        peel({x2: {0: 1}}, basis.__getitem__, 2)
 
 
 # ------------------------------------------------------------------ combine
