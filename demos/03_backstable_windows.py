@@ -4,7 +4,7 @@
 The slide expansion of a chromatic polynomial keeps indices whose
 support reaches into nonpositive positions.  Those terms vanish on the
 positive window but wake up as soon as colors 0, -1, ... are allowed.
-This demo widens the window step by step and checks the brute force
+This demo widens the window step by step and checks the coloring count
 agrees every time, then decomposes one tail-strong index into its
 fundamental-times-slide staircase.
 """

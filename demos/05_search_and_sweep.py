@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Exhaustive verification sweeps at desk scale.
 
-Everything the library claims is checked against brute force over every
-partial Dyck path at the given size.  This demo runs the small end of
+Everything the library claims is checked against a count of the
+colorings over every partial Dyck path at the given size; the tests
+check that count against brute force.  This demo runs the small end of
 each sweep in-process and prints a one-line verdict per statement; the
 CLI exposes the same sweeps with process-level parallelism.
 """

@@ -1,7 +1,10 @@
 """Descent-weighted chromatic polynomials of Dyck graphs, computed two
-independent ways: brute-force over bounded proper colorings, and as a
+independent ways: as a sum over bounded proper colorings, and as a
 permutation sum of slide polynomials, evaluated by a dynamic program
-over subsets.  Each route is a private core over (graph, rho) behind a
+over subsets.  The coloring sum has two cores: a transfer-matrix count
+(_count), which every verdict reads, and a brute force that visits every
+coloring (_brute), which chromatic_brute reads and the tests check the
+count against.  Each route is a private core over (graph, rho) behind a
 public function of the path; the cores work on packed ints and are
 compared as {int: int} dicts in one layout (_routes), and one converter
 (_terms) turns them into WeakComposition terms at the public boundary.
@@ -74,6 +77,66 @@ def _brute(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> dict[int, int]:
 
     rec(0, 0, 1)
     return found
+
+
+def _count(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> dict[int, int]:
+    """_brute's dict, counted by a transfer matrix instead of a walk.
+
+    The vertices are colored 1..n in order.  A state is the tuple of
+    colors of the active vertices, the earlier ones that still have a
+    later neighbour, and holds {packed x: packed t-coefficient} summed
+    over the colorings that reach it; colorings that agree on the active
+    vertices merge.  In a Dyck graph the smaller neighbours of j are an
+    interval ending at j - 1 and each vertex's last neighbour does not
+    decrease with the vertex, so the active vertices are an interval
+    ending at j - 1 and j's smaller neighbours are a suffix of the
+    tuple; both facts are checked per graph.  Coloring j with c, allowed
+    up to min(rho(j), w.hi) when no smaller neighbour has it, adds c's
+    unit to x and shifts the coefficient by slot times the smaller
+    neighbours colored above c, and the state drops the vertices with no
+    neighbour after j.
+    """
+    n = graph.n
+    bits, slot = n.bit_length(), _t_slot(n)
+    # vertex j: how many smaller neighbours it has, the least of them (j
+    # if none), its last neighbour (j if none), and how many vertices have
+    # their last neighbour at j, which leave the state once j is colored
+    lower, ends = [0] * (n + 1), [0] * (n + 1)
+    least, last = list(range(n + 1)), list(range(n + 1))
+    for i, j in graph.edges:
+        lower[j] += 1
+        if i < least[j]:
+            least[j] = i
+        if j > last[i]:
+            last[i] = j
+    for j in range(1, n + 1):
+        if least[j] != j - lower[j]:
+            raise RuntimeError(f"smaller neighbours of {j} are not an interval ending at {j - 1}")
+        if last[j] < last[j - 1]:
+            raise RuntimeError(f"last neighbour of {j} is below that of {j - 1}")
+        ends[last[j]] += 1
+    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for j in range(1, n + 1):
+        k, drop = lower[j], ends[j]
+        units = [(c, 1 << bits * (c - w.lo)) for c in range(w.lo, min(rho[j - 1], w.hi) + 1)]
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for state, xs in layer.items():
+            # colors ascend, so above counts the smaller neighbours' colors above c
+            used = state[len(state) - k:]
+            above = k
+            for c, unit in units:
+                if c in used:
+                    above -= used.count(c)
+                    continue
+                key = (state + (c,))[drop:]
+                shift = slot * above
+                into = nxt.setdefault(key, {})
+                get = into.get
+                for x, tc in xs.items():
+                    x += unit
+                    into[x] = get(x, 0) + (tc << shift)
+        layer = nxt
+    return layer.get((), {})
 
 
 def slide_expansion(
@@ -187,12 +250,13 @@ def _t_slot(n: int) -> int:
     Packed equality of the two chromatic routes is polynomial equality
     only if no slot carries into the next degree, that is if every
     coefficient of x^b t^d stays at or below n!.  In _packed_dp a
-    coefficient counts permutations of n letters.  In _brute it counts
-    the colorings with exponent b, at most the multinomial
-    n! / prod(b_c!) <= n!.  In _via_slides each permutation pi lands in
-    exactly one DP index (the DP conserves mass) and adds t^(inv pi) once
-    per member of that index's slide set, whose members are distinct, so
-    it adds at most 1 to any (b, d), and the sum is at most n! too.
+    coefficient counts permutations of n letters.  In _brute and in
+    _count it counts colorings with the one exponent b, at most the
+    multinomial n! / prod(b_c!) <= n!.  In _via_slides each permutation
+    pi lands in exactly one DP index (the DP conserves mass) and adds
+    t^(inv pi) once per member of that index's slide set, whose members
+    are distinct, so it adds at most 1 to any (b, d), and the sum is at
+    most n! too.
     """
     return math.factorial(n).bit_length()
 
@@ -255,6 +319,10 @@ def _via_slides(dp: dict[int, int], w: Window, n: int) -> dict[int, int]:
 
 @dataclass
 class ChromaticReport:
+    """Both chromatic routes of one path on one window.  brute holds the
+    coloring sum, as the transfer-matrix count (_count) gives it; the
+    field keeps its name for the benchmark's worker, which reads it."""
+
     path: PartialDyckPath
     window: Window
     brute: TPolynomial
@@ -276,9 +344,9 @@ class ChromaticReport:
 
 def _routes(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> tuple[dict[int, int], dict[int, int]]:
     """Both chromatic routes of the graph with bounds rho on w, packed as
-    in _terms from w.lo: the brute force and the slide sum.  They are
+    in _terms from w.lo: the coloring count and the slide sum.  They are
     equal as dicts exactly when they are equal as polynomials (_t_slot)."""
-    return _brute(graph, rho, w), _via_slides(_packed_dp(graph, rho, w.lo), w, graph.n)
+    return _count(graph, rho, w), _via_slides(_packed_dp(graph, rho, w.lo), w, graph.n)
 
 
 def chromatic_verdict(path: PartialDyckPath, w: Window) -> tuple[bool, bool]:
@@ -322,7 +390,7 @@ def fundamental_expansion(path: PartialDyckPath) -> dict[tuple[int, ...], TCoeff
 
 
 def verify_fundamental_expansion(path: PartialDyckPath, m: int) -> bool:
-    """Check the expansion against brute-force colorings in [1-m, 0].
+    """Check the expansion against the coloring count on [1-m, 0].
     Both depend on the Dyck graph alone, so the verdict is kept per graph
     and m."""
     return _verdict(dyck_graph(path), m)

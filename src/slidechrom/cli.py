@@ -95,13 +95,16 @@ def _refusal(args) -> CommandResult | None:
 
 def _size_refusal(n: int, r: int, m: int | None, window) -> CommandResult | None:
     """Past six vertices or six colors a command's work outgrows an
-    interactive run: rdes lists n! permutations, the brute force walks up
-    to r^n colorings, the subset DP up to 2^n placed-vertex sets, sweep
-    repeats that for each of its paths, whose number grows with r as well
-    as n, and the slide sets of a window grow with its width.  Every
-    extra color column multiplies the brute force and the slide sets too,
-    so --m above 6 and a window of more than r + 6 indices are refused as
-    well; the default windows never are."""
+    interactive run: rdes lists n! permutations, chromatic --mode brute
+    walks up to r^n colorings, the coloring count behind every other
+    verdict keeps one state per coloring of the vertices that still have
+    a later neighbour, up to r^(n-1), the subset DP up to 2^n
+    placed-vertex sets, sweep repeats the count and the DP for each of
+    its paths, whose number grows with r as well as n, and the slide sets
+    of a window grow with its width.  Every extra color column multiplies
+    the colorings and the slide sets too, so --m above 6 and a window of
+    more than r + 6 indices are refused as well; the default windows
+    never are."""
     if n > 6:
         msg = f"refusing n={n} > 6 without --force"
     elif r > 6:

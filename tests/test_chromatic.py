@@ -242,8 +242,9 @@ def test_sweep_verdicts_match_the_reports():
 
 
 def test_sweep_theorem_builds_no_polynomial(monkeypatch, capsys):
-    # one brute force and one DP per path, and nothing converted
-    calls = {"_brute": 0, "_packed_dp": 0, "_polynomial": 0, "_terms": 0}
+    # one coloring count and one DP per path, no brute force, and nothing
+    # converted
+    calls = {"_count": 0, "_brute": 0, "_packed_dp": 0, "_polynomial": 0, "_terms": 0}
     for name in calls:
         def counted(*args, _real=getattr(chromatic, name), _name=name):
             calls[_name] += 1
@@ -254,7 +255,7 @@ def test_sweep_theorem_builds_no_polynomial(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["payload"]["failures"] == []
     paths = doc["payload"]["paths"]
-    assert calls == {"_brute": paths, "_packed_dp": paths, "_polynomial": 0, "_terms": 0}
+    assert calls == {"_count": paths, "_brute": 0, "_packed_dp": paths, "_polynomial": 0, "_terms": 0}
 
 
 def test_orientation_partition_identity():
@@ -345,6 +346,7 @@ def test_slot_holds_n_factorial_in_both_routes():
         ones = sum(1 << n.bit_length() * k for k in range(n))
         brute = chromatic._brute(graph, zeros, w)
         assert brute[ones] == math.factorial(n) < 1 << chromatic._t_slot(n)
+        assert chromatic._count(graph, zeros, w) == brute
         assert chromatic._via_slides(chromatic._packed_dp(graph, zeros, w.lo), w, n) == brute
         rep = compare_chromatic(p, w)
         assert rep.equal and rep.brute == rep.via_slides

@@ -5,7 +5,9 @@ referenced somewhere in the repository, and only the oracles are referenced
 from tests alone.  Importing the package and its
 CLI also leaves the process pool's module unloaded, the benchmark's
 tracer finds every name it wraps, only the slide-set memo runs the
-slide walk, and no peel reads that memo on a window's digits."""
+slide walk, no peel reads that memo on a window's digits, and the
+coloring count and the Kohnert key model reach none of the code they
+are checked against."""
 
 import ast
 import os
@@ -189,6 +191,29 @@ def test_slide_dp_stays_independent_of_the_poset_oracle():
         elif isinstance(node, ast.Import):
             sources.update(alias.name.split(".")[-1] for alias in node.names)
     assert "posets" not in sources, "chromatic.py imports from posets"
+
+
+def test_coloring_count_stays_independent_of_its_oracles():
+    # tests/test_coloring_count.py checks chromatic._count against the
+    # brute force, and every verdict sets it against the DP's slide sum,
+    # so the count may reach neither, nor the poset oracle
+    def top_level(name):
+        path = PACKAGE / name
+        return ast.parse(path.read_text(), filename=str(path)).body
+
+    count, = (node for node in top_level("chromatic.py") if getattr(node, "name", None) == "_count")
+    banned = {"_brute", "_packed_dp", "_via_slides", "packed_slides", "posets"}
+    banned |= {node.name for node in top_level("posets.py") if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = sorted(set(_references(count)) & banned)
+    assert not used, f"chromatic._count uses {used}"
+
+
+def test_kohnert_model_imports_nothing_from_the_package():
+    # tests/kohnert.py is the key basis's second model; it stays a second
+    # model only while it shares no code with the package
+    path = ROOT / "tests" / "kohnert.py"
+    imported = set(_imported_names(ast.parse(path.read_text(), filename=str(path))))
+    assert not imported, f"kohnert.py imports {sorted(imported)}"
 
 
 def test_import_leaves_the_process_pool_unloaded():
