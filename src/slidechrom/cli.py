@@ -327,10 +327,10 @@ def cmd_paths(args) -> CommandResult:
 
 # ---------------------------------------------------------------- sweep
 
-# worker globals: one key-to-slide row cache per process, keyed by the
-# packed key index (see keys.key_expansion_of_chromatic), at most
-# C(n + r_max - 1, r_max - 1) rows; their key monomials stay in keys'
-# memo and their slide sets in compositions.packed_slides
+# worker globals: one key-to-slide row cache per process, keyed by
+# (width, packed key index) (see keys.key_expansion_of_chromatic), at
+# most C(n + r_max - 1, r_max - 1) rows per n; their key monomials stay
+# in keys' memo and their slide sets in compositions.packed_slides
 _SWEEP_CACHE: dict = {}
 
 

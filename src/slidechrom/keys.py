@@ -2,18 +2,18 @@
 basis, and the search for expansion coefficients with negative entries.
 
 Key polynomials live in x_1..x_r.  Inside this module an exponent is
-one packed int (compositions.pack): 8 bits per entry, x_1 in the low
-digit, so x^e times x_i is e + (1 << 8(i - 1)).  Key monomials,
-key-to-slide rows and the chromatic key peel all use it, slide sets are
-read in it on each index's own digits (compositions.slide_terms), and
-key_polynomial, expand_in_keys and key_expansion_of_chromatic convert
-to and from WeakComposition at their boundaries.  An entry, and so
-every prefix sum the peel's grade (tpoly.peel) reads, must fit in a
-digit: each of the three refuses a weight above 255 with ValueError.
-A key polynomial's coefficients are plain ints (t^0 only).  The
-expansion solves the change of basis exactly over Z[t] and
-certifies itself by reducing the input to zero; a nonzero remainder
-raises, so a wrong answer cannot be returned silently.
+one packed int (compositions.pack), x_1 in the low digit, at the width
+chromatic._packed_dp and slides.expand_in_slides use: the weight's bit
+length, at least 1, so every entry and every prefix sum the peel's
+grade (tpoly.peel) reads fits in a digit.  Callers pass the width down,
+and every memo keys on (width, packed int): an int alone names no index.
+key_polynomial and expand_in_keys convert to and from WeakComposition
+at their boundaries; key_expansion_of_chromatic peels the subset DP's
+packed dict and names only the key indices it returns.  A key
+polynomial's coefficients are plain ints (t^0 only).  The expansion
+solves the change of basis exactly over Z[t] and certifies itself by
+reducing the input to zero; a nonzero remainder raises, so a wrong
+answer cannot be returned silently.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chromatic import slide_expansion
+from .chromatic import _packed_dp, _t_slot, _t_unpack
 from .compositions import WeakComposition, Window, slide_terms, unpack
-from .dyck import PartialDyckPath, scan_paths
+from .dyck import PartialDyckPath, dyck_graph, restriction_map, scan_paths
 from .tpoly import (
     TCoeff,
     TPolynomial,
@@ -35,11 +35,8 @@ from .tpoly import (
     t_to_json,
 )
 
-_BITS = 8  # bits per entry of a packed exponent
-_DIGIT = (1 << _BITS) - 1  # one digit's mask and largest value: the largest weight
-
-# packed exponent -> the key polynomial's (packed exponent, coefficient) pairs
-_KEY_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
+# (bits, packed exponent) -> the key polynomial's (packed exponent, coefficient) pairs
+_KEY_CACHE: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
 
 def divided_difference(p: TPolynomial, i: int) -> TPolynomial:
@@ -77,48 +74,42 @@ def key_polynomial(a: WeakComposition, r: int) -> TPolynomial:
 
     Weakly decreasing exponents give the bare monomial; otherwise the
     smallest ascent is unswapped through the Demazure operator.  Results
-    are memoized on the composition alone (padding with zeros on the
-    right never changes the polynomial).  Raises ValueError for a weight
-    above 255.
+    are memoized on the composition alone, packed at its weight's width
+    (padding with zeros on the right never changes the polynomial).
     """
     if a.weight() and (a.lo < 1 or a.hi > r):
         raise ValueError(f"support of {a} outside [1, {r}]")
+    bits = max(1, a.weight()).bit_length()
     return TPolynomial(
         Window(1, r),
-        {WeakComposition(unpack(e, _BITS)): {0: c} for e, c in _key_terms(_packed(a))},
+        {WeakComposition(unpack(e, bits)): {0: c} for e, c in _key_terms(a.packed(1, bits), bits)},
     )
 
 
-def _packed(e: WeakComposition) -> int:
-    # e must have e.lo >= 1 or be zero
-    if e.weight() > _DIGIT:
-        raise ValueError(f"weight of {e} above {_DIGIT}")
-    return e.packed(1, _BITS)
-
-
-def _key_terms(x: int) -> tuple[tuple[int, int], ...]:
-    """Monomials of the key polynomial of a packed exponent.
+def _key_terms(x: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """Monomials of the key polynomial of an exponent packed bits bits
+    per entry; the weight must be below 2 ** bits.
 
     kappa_x = pi_i kappa_(s_i x) at the smallest ascent i, with the
     closed form of pi_i on a monomial x_i^p x_(i+1)^q: for p >= q the sum
     of x_i^(p-k) x_(i+1)^(q+k) over 0 <= k <= p - q, for p < q the
     negated sum of x_i^(p+k) x_(i+1)^(q-k) over 0 < k < q - p.  Moving
-    one unit from x_i to x_(i+1) adds step = (1 << 8i) - (1 << 8(i-1)),
-    so each sum is a range of ints.
+    one unit from x_i to x_(i+1) adds one step, the unit of digit i
+    less that of digit i - 1, so each sum is a range of ints.
     """
-    cached = _KEY_CACHE.get(x)
+    cached = _KEY_CACHE.get((bits, x))
     if cached is not None:
         return cached
-    vec = unpack(x, _BITS)
+    vec = unpack(x, bits)
     i = next((i for i in range(len(vec) - 1) if vec[i] < vec[i + 1]), None)
     if i is None:
         result: tuple = ((x, 1),)
     else:
-        shift = _BITS * i  # x_(i+1) in 1-based terms sits at digit i
-        step = (1 << (shift + _BITS)) - (1 << shift)
+        shift, digit = bits * i, (1 << bits) - 1  # x_(i+1) in 1-based terms sits at digit i
+        step = (1 << (shift + bits)) - (1 << shift)
         terms: dict[int, int] = {}
-        for e, c in _key_terms(x - (vec[i + 1] - vec[i]) * step):
-            p, q = e >> shift & _DIGIT, e >> (shift + _BITS) & _DIGIT
+        for e, c in _key_terms(x - (vec[i + 1] - vec[i]) * step, bits):
+            p, q = e >> shift & digit, e >> (shift + bits) & digit
             if p >= q:
                 for f in range(e, e + (p - q) * step + 1, step):
                     terms[f] = terms.get(f, 0) + c
@@ -126,30 +117,32 @@ def _key_terms(x: int) -> tuple[tuple[int, int], ...]:
                 for f in range(e - step, e - (q - p) * step, -step):
                     terms[f] = terms.get(f, 0) - c
         result = tuple((e, c) for e, c in terms.items() if c)
-    _KEY_CACHE[x] = result
+    _KEY_CACHE[bits, x] = result
     return result
 
 
 def expand_in_keys(
     p: TPolynomial, r: int
 ) -> dict[WeakComposition, TCoeff]:
-    """Write p (exponents inside [1, r], weight at most 255) as a
-    Z[t]-combination of keys.
+    """Write p (exponents inside [1, r]) as a Z[t]-combination of keys.
 
-    Peeled by tpoly.peel on packed exponents, whose prefix-sum grade
-    grows whenever a unit of exponent moves to a smaller index: every
-    monomial of kappa_m other than x^m dominates m and reaches no higher
-    index, so it has a larger grade than m.  A nonzero remainder raises
+    Peeled by tpoly.peel on exponents packed at the largest weight's
+    width, whose prefix-sum grade grows whenever a unit of exponent
+    moves to a smaller index: every monomial of kappa_m other than x^m
+    dominates m and reaches no higher index, so it has a larger grade
+    than m.  A nonzero remainder raises
     tpoly.ExpansionError; a zero one certifies that the returned
     coefficients are exactly the unique key-basis coordinates of p.
     """
-    names: dict[int, WeakComposition] = {}  # reused as result keys
     for e in p.terms:
         if e.weight() and (e.lo < 1 or e.hi > r):
             raise ValueError(f"exponent {e} outside [1, {r}]")
-        names[_packed(e)] = e
-    found = peel({x: p.terms[e] for x, e in names.items()}, _key_terms, _BITS)
-    return {names.get(m) or WeakComposition(unpack(m, _BITS)): tc for m, tc in found.items()}
+    bits = max(1, max(map(WeakComposition.weight, p.terms), default=0)).bit_length()
+    names = {e.packed(1, bits): e for e in p.terms}  # reused as result keys
+    found = peel(
+        {x: p.terms[e] for x, e in names.items()}, lambda x: _key_terms(x, bits), bits
+    )
+    return {names.get(m) or WeakComposition(unpack(m, bits)): tc for m, tc in found.items()}
 
 
 def is_key_positive(expansion: dict[WeakComposition, TCoeff]) -> bool:
@@ -192,9 +185,10 @@ class NegativeRecord:
         )
 
 
-def _key_slide_row(b: int) -> tuple[tuple[int, int], ...]:
-    """The slide expansion of the key polynomial of a packed index on
-    [1, len(b)], as (packed slide index, coefficient) pairs.
+def _key_slide_row(b: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """The slide expansion of the key polynomial of an index packed bits
+    bits per entry, on [1, len(b)], as (packed slide index, coefficient)
+    pairs in the same layout.
 
     Peeled by tpoly.peel from the memoised key monomials over the slide
     basis compositions.slide_terms; the peel's prefix-sum grade is a
@@ -203,7 +197,7 @@ def _key_slide_row(b: int) -> tuple[tuple[int, int], ...]:
     other slide index of a larger grade, so the rows form a
     unitriangular change of basis.
     """
-    found = peel({e: {0: c} for e, c in _key_terms(b)}, lambda x: slide_terms(x, _BITS), _BITS)
+    found = peel({e: {0: c} for e, c in _key_terms(b, bits)}, lambda x: slide_terms(x, bits), bits)
     return tuple((a, tc[0]) for a, tc in found.items())
 
 
@@ -213,38 +207,39 @@ def key_expansion_of_chromatic(
 ) -> dict[WeakComposition, TCoeff]:
     """Key-basis coordinates of the slide-sum chromatic polynomial.
 
-    One tpoly.peel in slide coordinates: the slide expansion on the
-    positive window is peeled with key-to-slide rows (_key_slide_row),
-    never through the assembled polynomial.  Slide polynomials on [1, R]
-    are linearly independent, so the zero remainder that certifies the
-    peel certifies equality of polynomials.  The peel builds its grade
-    from the packed indices themselves; no row entry reaches past its
-    key index's top digit, so that grade orders every index the peel
-    meets.  Raises ValueError for a path with more than 255 vertices,
-    whose weight does not fit a digit.
+    One tpoly.peel in slide coordinates: the subset DP's packed slide
+    expansion on the positive window (chromatic._packed_dp from 1, its
+    n.bit_length() bits per digit) is peeled with key-to-slide rows
+    (_key_slide_row) at that width, never through the assembled
+    polynomial; only its t-coefficients are unpacked.  Slide polynomials
+    on [1, R] are linearly independent, so the zero remainder that
+    certifies the peel certifies equality of polynomials.  The peel
+    builds its grade from the packed indices themselves; no row entry
+    reaches past its key index's top digit, so that grade orders every
+    index the peel meets.
 
-    The cache maps a packed key index b to (b as a WeakComposition, its
-    row) and can be shared across a scan: a row depends on b alone, and
-    the WeakComposition is reused as the result key.  A scan over n
-    vertices and r <= r_max fills at most C(n + r_max - 1, r_max - 1)
-    entries, one per weak composition of n on [1, r_max].
+    The cache maps (bits, packed key index b) to (b as a WeakComposition,
+    its row) and can be shared across a scan, and across scans of
+    different n: a row depends on b and its width alone, and the
+    WeakComposition is reused as the result key.  A scan over n vertices
+    and r <= r_max fills at most C(n + r_max - 1, r_max - 1) entries, one
+    per weak composition of n on [1, r_max].
     """
-    if path.n > _DIGIT:
-        raise ValueError(f"{path.n} vertices: key weights above {_DIGIT} do not fit")
+    graph = dyck_graph(path)
     # slide polynomials with an index below 1 vanish on the positive window
-    expansion = slide_expansion(path, lo=1)
-    if not expansion:
+    dp = _packed_dp(graph, restriction_map(path), 1)
+    if not dp:
         return {}  # about two thirds of the paths of a scan: skip the peel's set-up
+    bits, slot = max(1, graph.n).bit_length(), _t_slot(graph.n)
     cache = _key_slide_cache if _key_slide_cache is not None else {}
 
     def row(b: int):
-        if b not in cache:
-            cache[b] = (WeakComposition(unpack(b, _BITS)), _key_slide_row(b))
-        return cache[b][1]
+        if (bits, b) not in cache:
+            cache[bits, b] = (WeakComposition(unpack(b, bits)), _key_slide_row(b, bits))
+        return cache[bits, b][1]
 
-    terms = {_packed(a): tc for a, tc in expansion.items()}
-    found = peel(terms, row, _BITS)
-    return {cache[b][0]: tc for b, tc in found.items()}
+    found = peel({x: _t_unpack(tc, slot) for x, tc in dp.items()}, row, bits)
+    return {cache[bits, b][0]: tc for b, tc in found.items()}
 
 
 def negative_records(

@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
-from slidechrom import NegativeRecord, WeakComposition, chromatic, cli, search_negative_records
+from slidechrom import (
+    NegativeRecord, WeakComposition, chromatic, cli, keys, search_negative_records,
+)
 from slidechrom.cli import main
 
 
@@ -555,6 +557,21 @@ def test_sweep_keys_finds_nothing_tiny(capsys):
     code, doc = run_json(capsys, "sweep", "keys", "2", "2", "--threads", "1")
     assert code == 0
     assert doc["payload"]["findings"] == []
+
+
+def test_sweep_keys_shares_its_row_cache_across_widths(capsys):
+    # n = 3 packs at 2 bits and n = 4 and 5 at 3, so caches keyed on the
+    # packed index alone would hand n = 4 and 5 entries built for n = 3
+    def sweep(n, fresh=False):
+        if fresh:
+            cli._SWEEP_CACHE.clear()
+            keys._KEY_CACHE.clear()
+        return run(capsys, "--json", "sweep", "keys", str(n), str(n), "--threads", "1")
+
+    alone = {n: sweep(n, fresh=True) for n in (4, 5)}
+    sweep(3, fresh=True)
+    assert sweep(4) == alone[4]
+    assert sweep(5) == alone[5]
 
 
 def test_sweep_keys_matches_library_search(capsys):

@@ -313,9 +313,9 @@ def test_slide_walk_matches_definition(entries, a_lo, lo, width, spare_bits):
 
 
 def test_every_layer_reads_one_slide_set_memo():
-    # weight 200 packs at 8 bits per entry in every layer, the key
-    # layer's width; (150, 50) is weakly decreasing, so its key row reads
-    # the slide set of its own index and no other
+    # weight 200 packs at its bit length, 8 bits per entry, in every
+    # layer; (150, 50) is weakly decreasing, so its key row reads the
+    # slide set of its own index and no other
     a, w = wc([150, 50]), Window(1, 2)
     x = pack(a.entries, 8)  # a from w.lo, as the slide sum and key rows pack it
     packed_slides.cache_clear()
@@ -323,7 +323,7 @@ def test_every_layer_reads_one_slide_set_memo():
     members = slide_set(a, w)
     slide_polynomial(a, w)
     chromatic._via_slides({x: 1}, w, 200)
-    keys._key_slide_row(x)
+    keys._key_slide_row(x, 8)
     info = packed_slides.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
     # an index and a window translated together hit the same entry: the

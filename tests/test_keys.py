@@ -25,7 +25,7 @@ from slidechrom import (
     search_negative_records,
     slide_polynomial,
 )
-from slidechrom import keys
+from slidechrom import chromatic, keys
 from slidechrom.chromatic import slide_expansion
 from slidechrom.compositions import pack, unpack
 from slidechrom.tpoly import ExpansionError, combine
@@ -33,11 +33,6 @@ from slidechrom.tpoly import ExpansionError, combine
 
 def wc(entries, lo=1):
     return WeakComposition(tuple(entries), lo)
-
-
-def packed(entries):
-    # the key layer's exponent: 8 bits per entry, x_1 in the low digit
-    return pack(entries, 8)
 
 
 def x(i, w):
@@ -195,8 +190,11 @@ def test_expand_in_keys_random_round_trip():
 
 
 def test_expand_in_keys_nonzero_remainder_raises(monkeypatch):
-    # a corrupted key polynomial (leading coefficient 2) cannot peel x2
-    monkeypatch.setitem(keys._KEY_CACHE, packed((0, 1)), ((packed((0, 1)), 2), (packed((1,)), 1)))
+    # a corrupted key polynomial (leading coefficient 2) cannot peel x2,
+    # whose weight 1 packs at 1 bit
+    monkeypatch.setitem(
+        keys._KEY_CACHE, (1, pack((0, 1), 1)), ((pack((0, 1), 1), 2), (pack((1,), 1), 1))
+    )
     with pytest.raises(ExpansionError, match="remainder"):
         expand_in_keys(x(2, Window(1, 2)), 2)
 
@@ -215,9 +213,10 @@ def test_keys_are_slide_positive():
             assert exp and all(tc.keys() == {0} and tc[0] > 0 for tc in exp.values())
             assert combine(exp, lambda b: slide_polynomial(b, w).terms.items()) == kappa.terms
             # the key-to-slide row key_expansion_of_chromatic peels with,
-            # built on [1, len(b)], is the same expansion
-            row = keys._key_slide_row(packed(entries))
-            assert {wc(unpack(a, 8)): {0: c} for a, c in row} == exp
+            # built on [1, len(b)] at the weight's width, is the same expansion
+            bits = sum(entries).bit_length()
+            row = keys._key_slide_row(pack(entries, bits), bits)
+            assert {wc(unpack(a, bits)): {0: c} for a, c in row} == exp
             checked += 1
     assert checked == 456
 
@@ -275,55 +274,93 @@ def test_key_expansion_matches_slide_to_key_rows():
         # leading coefficient 2: the slide of (1, 1, 1) is never cleared
         (
             (1, 1, 1),
-            lambda row: tuple((a, 2 if a == packed((1, 1, 1)) else c) for a, c in row),
+            lambda row: tuple((a, 2 if a == pack((1, 1, 1), 2) else c) for a, c in row),
             "remainder",
         ),
         # a slide of smaller grade than the key: (1, 1, 1) comes back
-        ((2, 0, 1), lambda row: row + ((packed((1, 1, 1)), 1),), "peeled twice"),
+        ((2, 0, 1), lambda row: row + ((pack((1, 1, 1), 2), 1),), "peeled twice"),
     ],
 )
 def test_corrupted_key_slide_row_raises(monkeypatch, b, corrupt, msg):
-    # ENEENENEE@3,3 peels kappa(1,1,1), then kappa(2,0,1)
+    # ENEENENEE@3,3 peels kappa(1,1,1), then kappa(2,0,1), at 2 bits
     real = keys._key_slide_row
-    monkeypatch.setattr(
-        keys, "_key_slide_row", lambda v: corrupt(real(v)) if v == packed(b) else real(v)
-    )
+
+    def row(v, bits):
+        assert bits == 2
+        return corrupt(real(v, bits)) if v == pack(b, bits) else real(v, bits)
+
+    monkeypatch.setattr(keys, "_key_slide_row", row)
     with pytest.raises(ExpansionError, match=msg):
         key_expansion_of_chromatic(PartialDyckPath.parse("ENEENENEE@3,3"))
 
 
 def test_key_slide_rows_of_weight_six_are_pinned():
-    # every row of weight 6, on [1, len b], as representation-free JSON:
-    # the digest the tuple-exponent key layer gave
+    # every row of weight 6, on [1, len b] at 3 bits, as
+    # representation-free JSON: the digest the tuple-exponent key layer
+    # and the 8-bit one gave
     rows = sorted(
-        [list(unpack(b, 8)), sorted([list(unpack(a, 8)), c] for a, c in keys._key_slide_row(b))]
-        for b in (packed(e) for e in itertools.product(range(7), repeat=6) if sum(e) == 6)
+        [list(unpack(b, 3)), sorted([list(unpack(a, 3)), c] for a, c in keys._key_slide_row(b, 3))]
+        for b in (pack(e, 3) for e in itertools.product(range(7), repeat=6) if sum(e) == 6)
     )
     assert len(rows) == 462
     digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
     assert digest == "d4aaac13f9769b2f206494edb54dd08daf569b9fa6c329ed090f08064cda36b9"
 
 
-def test_weight_above_255_is_refused():
-    # a packed entry, and every prefix sum the peel grade reads, is one
-    # 8-bit digit; 255 still fits, with no carry into the next digit
+def test_weights_past_eight_bits_pack_wider():
+    # a weight packs at its own bit length, so 255 takes 8 bits and 256
+    # takes 9, and no entry or prefix sum the peel grade reads carries
+    # into the next digit
     w = Window(1, 2)
     assert expand_in_keys(key_polynomial(wc([0, 255]), 2), 2) == {wc([0, 255]): {0: 1}}
-    # kappa(0, 255) is every monomial of weight 255 in x1, x2: one slide
+    # kappa(0, k) is every monomial of weight k in x1, x2: one slide
     assert len(key_polynomial(wc([0, 255]), 2).terms) == 256
-    assert keys._key_slide_row(packed((0, 255))) == ((packed((0, 255)), 1),)
-    # x1 x2^254 = kappa(1, 254) - kappa(2, 253) - kappa(254, 1)
-    assert expand_in_keys(TPolynomial.monomial(wc([1, 254]), w), 2) == {
-        wc([1, 254]): {0: 1}, wc([2, 253]): {0: -1}, wc([254, 1]): {0: -1}
-    }
-    with pytest.raises(ValueError, match="above 255"):
-        key_polynomial(wc([256]), 1)
-    with pytest.raises(ValueError, match="above 255"):
-        key_polynomial(wc([128, 128]), 2)
-    with pytest.raises(ValueError, match="above 255"):
-        expand_in_keys(TPolynomial.monomial(wc([0, 256]), w), 2)
-    with pytest.raises(ValueError, match="above 255"):
-        key_expansion_of_chromatic(PartialDyckPath("NE" * 256, 256, 0))
+    assert len(key_polynomial(wc([0, 256]), 2).terms) == 257
+    assert keys._key_slide_row(pack((0, 255), 8), 8) == ((pack((0, 255), 8), 1),)
+    assert keys._key_slide_row(pack((0, 256), 9), 9) == ((pack((0, 256), 9), 1),)
+    # x1 x2^(k-1) = kappa(1, k-1) - kappa(2, k-2) - kappa(k-1, 1)
+    for k in (255, 256):
+        assert expand_in_keys(TPolynomial.monomial(wc([1, k - 1]), w), 2) == {
+            wc([1, k - 1]): {0: 1}, wc([2, k - 2]): {0: -1}, wc([k - 1, 1]): {0: -1}
+        }
+    # every rho(i) is 0, so the subset DP returns before building a table
+    assert key_expansion_of_chromatic(PartialDyckPath("NE" * 256, 256, 0)) == {}
+
+
+def test_key_memo_keys_on_the_width():
+    # (0, 1) at 1 bit and (2,) at 2 bits both pack to the int 2
+    keys._KEY_CACHE.clear()
+    assert key_polynomial(wc([0, 1]), 2) == x(1, Window(1, 2)) + x(2, Window(1, 2))
+    assert key_polynomial(wc([2]), 1) == x(1, Window(1, 1)) * x(1, Window(1, 1))
+
+
+def test_caches_shared_across_widths_match_fresh_caches():
+    # n = 3 -> 4 and 5 -> 8 cross bit-length boundaries (2, 3 and 4 bits);
+    # the fresh run clears the key memo for each n and gives every path
+    # its own row cache
+    sizes = [(3, 3), (4, 4), (5, 5), (8, 2)]
+    keys._KEY_CACHE.clear()
+    cache: dict = {}
+    shared = [key_expansion_of_chromatic(p, cache) for n, r in sizes for p in scan_paths(n, r)]
+    fresh = []
+    for n, r in sizes:
+        keys._KEY_CACHE.clear()
+        fresh += [key_expansion_of_chromatic(p) for p in scan_paths(n, r)]
+    assert shared == fresh
+    assert len(fresh) == 95 + 586 + 3682 + 18226
+
+
+def test_census_stays_packed(monkeypatch):
+    # the census peels the subset DP's packed dict: it never converts a
+    # whole slide expansion to WeakComposition
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census converted a slide expansion")
+
+    monkeypatch.setattr(chromatic, "_terms", refuse)
+    monkeypatch.setattr(chromatic, "slide_expansion", refuse)
+    assert search_negative_records(5, 5) == [
+        NegativeRecord("EENEENENEENEENE@5,5", wc([1, 3, 0, 1]), ((2, -1),))
+    ]
 
 
 def test_is_key_positive():
