@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .compositions import WeakComposition, Window, packed_slides, unpack
+from .compositions import WeakComposition, Window, digit_bits, packed_slides, unpack
 from .dyck import DyckGraph, PartialDyckPath, dyck_graph, restriction_map
 from .tpoly import TCoeff, TPolynomial
 
@@ -37,15 +37,15 @@ def chromatic_brute(path: PartialDyckPath, w: Window) -> TPolynomial:
 def _brute(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> dict[int, int]:
     """chromatic_brute on the graph with bounds rho, packed as in _terms
     from w.lo.  The walk visits every proper coloring.  It keeps the
-    color counts as one int, n.bit_length() bits per color with color
-    w.lo in the low digit, so coloring a vertex c adds one unit at c's
-    digit, and t^(descents) as the bit at slot * descents (_t_slot).
-    The last vertex is a loop in its parent's call, which adds that bit
-    to the entry of each completed count."""
+    color counts as one int in that layout, color w.lo in the low digit,
+    so coloring a vertex c adds one unit at c's digit, and t^(descents)
+    as the bit at slot * descents (_t_slot).  The last vertex is a loop
+    in its parent's call, which adds that bit to the entry of each
+    completed count."""
     n = graph.n
     if n == 0:
         return {0: 1}
-    bits, slot = n.bit_length(), _t_slot(n)
+    bits, slot = digit_bits(n), _t_slot(n)
     # vertex v + 1 is index v: its colors with their count units, a prefix
     # of the window's, and its neighbours with smaller labels
     units = [(c, 1 << bits * (c - w.lo)) for c in w.indices()]
@@ -97,7 +97,7 @@ def _count(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> dict[int, int]:
     neighbour after j.
     """
     n = graph.n
-    bits, slot = n.bit_length(), _t_slot(n)
+    bits, slot = digit_bits(n), _t_slot(n)
     # vertex j: how many smaller neighbours it has, the least of them (j
     # if none), its last neighbour (j if none), and how many vertices have
     # their last neighbour at j, which leave the state once j is colored
@@ -204,7 +204,7 @@ def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int) -> dict[int, int
     full = (1 << n) - 1
     above, lower_nbrs, need = _dp_tables(graph)
     moves = _moves(n)
-    slot, bits = _t_slot(n), n.bit_length()
+    slot, bits = _t_slot(n), digit_bits(n)
     # every bound lies in [lo, max(rho)]; bound b is digit b - lo
     shift = [bits * k for k in range(max(rho) - lo + 1)]
     at_or_below = [(1 << s + bits) - 1 for s in shift]
@@ -277,10 +277,11 @@ def _t_unpack(packed: int, slot: int) -> TCoeff:
 
 def _terms(packed: dict[int, int], lo: int, n: int) -> dict[WeakComposition, TCoeff]:
     """A packed {exponent: coefficient} dict of weight n as WeakComposition
-    exponents with t-coefficients: exponent digits of n.bit_length()
-    bits, index lo in the low digit (compositions.pack), coefficients as
-    in _t_slot.  Every chromatic route packs its result this way."""
-    bits, slot = n.bit_length(), _t_slot(n)
+    exponents with t-coefficients: exponent digits of
+    compositions.digit_bits(n) bits, index lo in the low digit
+    (compositions.pack), coefficients as in _t_slot.  Every chromatic
+    route packs its result this way."""
+    bits, slot = digit_bits(n), _t_slot(n)
     return {WeakComposition(unpack(x, bits), lo): _t_unpack(tc, slot) for x, tc in packed.items()}
 
 
@@ -308,7 +309,7 @@ def _via_slides(dp: dict[int, int], w: Window, n: int) -> dict[int, int]:
     (_packed_dp with lo=w.lo), packed the same way: each index's packed
     coefficient added once per member of its slide set (packed_slides),
     whose members share the index's layout."""
-    bits, digits = n.bit_length(), len(w.indices())
+    bits, digits = digit_bits(n), len(w.indices())
     acc: dict[int, int] = {}
     get = acc.get
     for a, tc in dp.items():

@@ -6,10 +6,11 @@ nonnegative integers; entries may sit at nonpositive indices.  Strong
 compositions (all parts positive, positions irrelevant) are plain tuples
 of positive ints.  A packed exponent vector is one int with a fixed
 number of bits per entry, the first entry in the low digit (pack,
-unpack, WeakComposition.packed).  slide_walk builds slide sets in that
-form for packed_slides, the one slide-set memo every layer reads, and
-slide_terms reads it on an index's own digits as the basis of both
-slide peels (tpoly.peel).
+unpack, WeakComposition.packed); digit_bits is the one rule that picks
+that number from a weight, for every layer.  slide_walk builds slide
+sets in that form for packed_slides, the one slide-set memo every layer
+reads, and slide_terms reads it on an index's own digits as the basis
+of both slide peels (tpoly.peel).
 """
 
 from __future__ import annotations
@@ -232,6 +233,14 @@ def leq_slide(b: WeakComposition, a: WeakComposition) -> bool:
     return refines(b.flatten(), a.flatten()) and dominates(b, a)
 
 
+def digit_bits(weight: int) -> int:
+    """Bits per entry of a packed exponent of the given weight: its bit
+    length, at least 1.  Every entry and every prefix sum fits in a
+    digit, so tpoly.peel's grade cannot carry.  Every layer packs at this
+    width, so a packed int together with it names one index."""
+    return max(1, weight).bit_length()
+
+
 def pack(entries: Iterable[int], bits: int) -> int:
     """Entries as one int, bits per entry, the first entry in the low
     digit.  Every entry must be below 2 ** bits."""
@@ -257,8 +266,8 @@ def slide_walk(parts: tuple[int, ...], prefix: list[int], bits: int) -> list[int
     nonzero entries refine parts and whose prefix sums are at least
     prefix, digit k holding b's k-th entry in bits bits.
 
-    parts is flatten(a) and prefix the prefix sums of a over the window,
-    so bits >= weight(a).bit_length() keeps every entry in its digit.
+    parts is flatten(a) and prefix the prefix sums of a over the window;
+    bits at least digit_bits(weight(a)) keeps every entry in its digit.
     """
     if not parts:
         return [0]
@@ -313,7 +322,7 @@ def slide_set(a: WeakComposition, w: Window) -> set[WeakComposition]:
     b dominating a in prefix sums, read from packed_slides."""
     if a.entries and a.lo < w.lo:
         return set()  # b has no weight below w.lo to dominate a with
-    bits = a.weight().bit_length()
+    bits = digit_bits(a.weight())
     return {
         WeakComposition(unpack(x, bits), w.lo)
         for x in packed_slides(a.packed(w.lo, bits), len(w.indices()), bits)

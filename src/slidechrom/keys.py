@@ -3,17 +3,15 @@ basis, and the search for expansion coefficients with negative entries.
 
 Key polynomials live in x_1..x_r.  Inside this module an exponent is
 one packed int (compositions.pack), x_1 in the low digit, at the width
-chromatic._packed_dp and slides.expand_in_slides use: the weight's bit
-length, at least 1, so every entry and every prefix sum the peel's
-grade (tpoly.peel) reads fits in a digit.  Callers pass the width down,
-and every memo keys on (width, packed int): an int alone names no index.
-key_polynomial and expand_in_keys convert to and from WeakComposition
-at their boundaries; key_expansion_of_chromatic peels the subset DP's
-packed dict and names only the key indices it returns.  A key
-polynomial's coefficients are plain ints (t^0 only).  The expansion
-solves the change of basis exactly over Z[t] and certifies itself by
-reducing the input to zero; a nonzero remainder raises, so a wrong
-answer cannot be returned silently.
+compositions.digit_bits gives every layer.  Callers pass the width
+down, and every memo keys on (width, packed int): an int alone names no
+index.  key_polynomial and expand_in_keys (through tpoly.expand)
+convert to and from WeakComposition at their boundaries;
+key_expansion_of_chromatic peels the subset DP's packed dict and names
+only the key indices it returns.  A key polynomial's coefficients are
+plain ints (t^0 only).  The expansion solves the change of basis exactly
+over Z[t] and certifies itself by reducing the input to zero; a nonzero
+remainder raises, so a wrong answer cannot be returned silently.
 """
 
 from __future__ import annotations
@@ -23,12 +21,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chromatic import _packed_dp, _t_slot, _t_unpack
-from .compositions import WeakComposition, Window, slide_terms, unpack
+from .compositions import WeakComposition, Window, digit_bits, slide_terms, unpack
 from .dyck import PartialDyckPath, dyck_graph, restriction_map, scan_paths
 from .tpoly import (
     TCoeff,
     TPolynomial,
     combine,
+    expand,
     peel,
     t_from_json,
     t_is_nonnegative,
@@ -75,11 +74,12 @@ def key_polynomial(a: WeakComposition, r: int) -> TPolynomial:
     Weakly decreasing exponents give the bare monomial; otherwise the
     smallest ascent is unswapped through the Demazure operator.  Results
     are memoized on the composition alone, packed at its weight's width
-    (padding with zeros on the right never changes the polynomial).
+    (compositions.digit_bits; padding with zeros on the right never
+    changes the polynomial).
     """
     if a.weight() and (a.lo < 1 or a.hi > r):
         raise ValueError(f"support of {a} outside [1, {r}]")
-    bits = max(1, a.weight()).bit_length()
+    bits = digit_bits(a.weight())
     return TPolynomial(
         Window(1, r),
         {WeakComposition(unpack(e, bits)): {0: c} for e, c in _key_terms(a.packed(1, bits), bits)},
@@ -88,7 +88,7 @@ def key_polynomial(a: WeakComposition, r: int) -> TPolynomial:
 
 def _key_terms(x: int, bits: int) -> tuple[tuple[int, int], ...]:
     """Monomials of the key polynomial of an exponent packed bits bits
-    per entry; the weight must be below 2 ** bits.
+    per entry, at least compositions.digit_bits of its weight.
 
     kappa_x = pi_i kappa_(s_i x) at the smallest ascent i, with the
     closed form of pi_i on a monomial x_i^p x_(i+1)^q: for p >= q the sum
@@ -121,28 +121,21 @@ def _key_terms(x: int, bits: int) -> tuple[tuple[int, int], ...]:
     return result
 
 
-def expand_in_keys(
-    p: TPolynomial, r: int
-) -> dict[WeakComposition, TCoeff]:
+def expand_in_keys(p: TPolynomial, r: int) -> dict[WeakComposition, TCoeff]:
     """Write p (exponents inside [1, r]) as a Z[t]-combination of keys.
 
-    Peeled by tpoly.peel on exponents packed at the largest weight's
-    width, whose prefix-sum grade grows whenever a unit of exponent
-    moves to a smaller index: every monomial of kappa_m other than x^m
-    dominates m and reaches no higher index, so it has a larger grade
-    than m.  A nonzero remainder raises
-    tpoly.ExpansionError; a zero one certifies that the returned
-    coefficients are exactly the unique key-basis coordinates of p.
+    Peeled by tpoly.expand from 1 with the basis _key_terms; the peel's
+    prefix-sum grade grows whenever a unit of exponent moves to a
+    smaller index: every monomial of kappa_m other than x^m dominates m
+    and reaches no higher index, so it has a larger grade than m.  A
+    nonzero remainder raises tpoly.ExpansionError; a zero one certifies
+    that the returned coefficients are exactly the unique key-basis
+    coordinates of p.
     """
     for e in p.terms:
         if e.weight() and (e.lo < 1 or e.hi > r):
             raise ValueError(f"exponent {e} outside [1, {r}]")
-    bits = max(1, max(map(WeakComposition.weight, p.terms), default=0)).bit_length()
-    names = {e.packed(1, bits): e for e in p.terms}  # reused as result keys
-    found = peel(
-        {x: p.terms[e] for x, e in names.items()}, lambda x: _key_terms(x, bits), bits
-    )
-    return {names.get(m) or WeakComposition(unpack(m, bits)): tc for m, tc in found.items()}
+    return expand(p, 1, _key_terms)
 
 
 def is_key_positive(expansion: dict[WeakComposition, TCoeff]) -> bool:
@@ -208,8 +201,8 @@ def key_expansion_of_chromatic(
     """Key-basis coordinates of the slide-sum chromatic polynomial.
 
     One tpoly.peel in slide coordinates: the subset DP's packed slide
-    expansion on the positive window (chromatic._packed_dp from 1, its
-    n.bit_length() bits per digit) is peeled with key-to-slide rows
+    expansion on the positive window (chromatic._packed_dp from 1, at
+    compositions.digit_bits of n) is peeled with key-to-slide rows
     (_key_slide_row) at that width, never through the assembled
     polynomial; only its t-coefficients are unpacked.  Slide polynomials
     on [1, R] are linearly independent, so the zero remainder that
@@ -230,7 +223,7 @@ def key_expansion_of_chromatic(
     dp = _packed_dp(graph, restriction_map(path), 1)
     if not dp:
         return {}  # about two thirds of the paths of a scan: skip the peel's set-up
-    bits, slot = max(1, graph.n).bit_length(), _t_slot(graph.n)
+    bits, slot = digit_bits(graph.n), _t_slot(graph.n)
     cache = _key_slide_cache if _key_slide_cache is not None else {}
 
     def row(b: int):
@@ -279,10 +272,13 @@ def search_negative_records(
 
 
 def load_negative_fixtures() -> list[NegativeRecord]:
-    """The records pinned in the package's fixtures directory."""
+    """The records pinned in the package's fixtures directory.  Raises
+    ValueError naming the file when one is not an object with a records
+    list, rather than loading nothing from it."""
     out: list[NegativeRecord] = []
     for fp in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
         data = json.loads(fp.read_text())
-        for item in data.get("records", []):
-            out.append(NegativeRecord.from_json(item))
+        if not (isinstance(data, dict) and isinstance(data.get("records"), list)):
+            raise ValueError(f"{fp}: fixture must be an object with a records list")
+        out += map(NegativeRecord.from_json, data["records"])
     return out

@@ -1,5 +1,5 @@
-"""Slide polynomials over integer windows, their expansion algorithm (a
-packed peel over compositions.slide_terms, each slide set read on its
+"""Slide polynomials over integer windows, their expansion algorithm
+(tpoly.expand over compositions.slide_terms, each slide set read on its
 index's own digits), fundamental quasisymmetric polynomials, and the
 tail-strong product decomposition that splits a slide index into a
 nonpositive fundamental part and positive slide parts.
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .compositions import WeakComposition, Window, slide_set, slide_terms, unpack
-from .tpoly import TCoeff, TPolynomial, peel
+from .compositions import WeakComposition, Window, slide_set, slide_terms
+from .tpoly import TCoeff, TPolynomial, expand
 
 
 # Bounded so a long-running process cannot grow it without limit.  Only
@@ -61,30 +61,21 @@ def slide_polynomial_by_chains(a: WeakComposition, w: Window) -> TPolynomial:
     return TPolynomial(w, terms)
 
 
-def expand_in_slides(
-    p: TPolynomial, w: Window
-) -> dict[WeakComposition, TCoeff]:
+def expand_in_slides(p: TPolynomial, w: Window) -> dict[WeakComposition, TCoeff]:
     """Write p as a Z[t]-combination of slide polynomials on w.
 
-    Peeled by tpoly.peel on packed exponents, index w.lo in the low
-    digit, with the basis compositions.slide_terms: a slide set read on
-    its index's own digits, which is the index's slide set on w, since
-    no member reaches past the index's top digit.  Only w.lo and the
-    exponents set the digits, never w's width; only the result is
-    converted back.  Raises ValueError if p has an exponent outside w
+    Peeled by tpoly.expand from w.lo with the basis
+    compositions.slide_terms: a slide set read on its index's own digits,
+    which is the index's slide set on w, since no member reaches past the
+    index's top digit.  Only w.lo and the exponents set the digits, never
+    w's width.  Raises ValueError if p has an exponent outside w
     and tpoly.ExpansionError (a RuntimeError) if the peel cannot certify
     its result, which would indicate a bug.
     """
     for e in p.terms:
         if not e.supported_in(w):
             raise ValueError(f"exponent {e} not supported in window {w}")
-    # at least one bit per digit, even for a weight-0 polynomial
-    bits = max(1, max(map(WeakComposition.weight, p.terms), default=0)).bit_length()
-    names = {e.packed(w.lo, bits): e for e in p.terms}  # reused as result keys
-    found = peel(
-        {x: p.terms[e] for x, e in names.items()}, lambda x: slide_terms(x, bits), bits
-    )
-    return {names.get(x) or WeakComposition(unpack(x, bits), w.lo): tc for x, tc in found.items()}
+    return expand(p, w.lo, slide_terms)
 
 
 def fundamental_qsym(alpha: tuple[int, ...], m: int) -> TPolynomial:

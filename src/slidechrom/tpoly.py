@@ -10,9 +10,11 @@ never silently truncate: a term outside the window raises.
 combine sums tc * basis(k) over an expansion of t-coefficient dicts;
 it is behind every TPolynomial operation (+, -, *, scaled,
 evaluate_all_ones) and the divided difference in keys.  peel, the
-inverse, subtracts c * k in place on packed exponents, which it grades.
-The chromatic routes do not use either: they add t-coefficients packed
-into ints (chromatic._t_slot).
+inverse, subtracts c * k in place on packed exponents, which it grades;
+expand is the one boundary where both basis expansions (slides, keys)
+pack a TPolynomial for it and name its result.  The chromatic routes
+use none of them: they add t-coefficients packed into ints
+(chromatic._t_slot).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import re
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
-from .compositions import WeakComposition, Window, lex_key
+from .compositions import WeakComposition, Window, digit_bits, lex_key, unpack
 
 TCoeff = dict  # {int: int}, no zero values stored
 E = TypeVar("E", bound=Hashable)
@@ -353,3 +355,18 @@ def peel(
     if rem:
         raise ExpansionError("nonzero remainder")
     return out
+
+
+def expand(
+    p: TPolynomial, lo: int, basis: Callable[[int, int], Iterable[tuple[int, int]]]
+) -> dict[WeakComposition, TCoeff]:
+    """Coordinates of p in a unitriangular basis, by peel: the exponents
+    packed at the largest weight's width (compositions.digit_bits), index
+    lo in the low digit, and basis(m, bits) the monomials of the element
+    of packed index m as in peel.  Only the result is converted back,
+    reusing p's own exponents where they name an index.  The caller
+    checks that every exponent starts at lo or above."""
+    bits = digit_bits(max(map(WeakComposition.weight, p.terms), default=0))
+    names = {e.packed(lo, bits): e for e in p.terms}  # reused as result keys
+    found = peel({x: p.terms[e] for x, e in names.items()}, lambda x: basis(x, bits), bits)
+    return {names.get(x) or WeakComposition(unpack(x, bits), lo): tc for x, tc in found.items()}

@@ -24,6 +24,7 @@ from slidechrom import (
     verify_fundamental_expansion,
 )
 from slidechrom.chromatic import chromatic_verdict
+from slidechrom.compositions import digit_bits
 from slidechrom.cli import _sweep_one, main
 
 THREE = PartialDyckPath.parse("ENEENENEE@3,3")
@@ -343,7 +344,7 @@ def test_slot_holds_n_factorial_in_both_routes():
         p = PartialDyckPath.parse("NE" * n + f"@{n},0")
         graph, zeros, w = dyck_graph(p), restriction_map(p), Window(1 - n, 0)
         assert not graph.edges and zeros == (0,) * n
-        ones = sum(1 << n.bit_length() * k for k in range(n))
+        ones = sum(1 << digit_bits(n) * k for k in range(n))
         brute = chromatic._brute(graph, zeros, w)
         assert brute[ones] == math.factorial(n) < 1 << chromatic._t_slot(n)
         assert chromatic._count(graph, zeros, w) == brute

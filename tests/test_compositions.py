@@ -18,7 +18,7 @@ from slidechrom import (
     subset_of_comp,
     transpose,
 )
-from slidechrom.compositions import pack, packed_slides, slide_walk, unpack
+from slidechrom.compositions import digit_bits, pack, packed_slides, slide_walk, unpack
 
 
 def wc(entries, lo=1):
@@ -305,7 +305,7 @@ def test_slide_walk_matches_definition(entries, a_lo, lo, width, spare_bits):
     expected = {b for b in window_comps if leq_slide(b, a)}
     assert slide_set(a, w) == expected, (a, w)
     if a.is_zero() or a.lo >= w.lo:  # slide_set's own case otherwise
-        bits = a.weight().bit_length() + spare_bits
+        bits = digit_bits(a.weight()) + spare_bits
         prefix = list(itertools.accumulate(a[i] for i in w.indices()))
         packed = slide_walk(a.flatten(), prefix, bits)
         assert len(set(packed)) == len(packed)

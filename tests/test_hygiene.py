@@ -5,7 +5,8 @@ referenced somewhere in the repository, and only the oracles are referenced
 from tests alone.  Importing the package and its
 CLI also leaves the process pool's module unloaded, the benchmark's
 tracer finds every name it wraps, only the slide-set memo runs the
-slide walk, no peel reads that memo on a window's digits, and the
+slide walk, no peel reads that memo on a window's digits, only
+compositions.digit_bits turns a weight into a digit width, and the
 coloring count and the Kohnert key model reach none of the code they
 are checked against."""
 
@@ -158,6 +159,25 @@ def test_slide_walk_feeds_only_the_slide_set_memo():
         if "slide_walk" in set(_references(node))
     )
     assert users == ["compositions.py:packed_slides"], users
+
+
+def test_one_width_rule_for_packed_exponents():
+    # every layer takes its digit width from compositions.digit_bits; the
+    # other bit lengths size n! (_t_slot) or count the digits of a packed
+    # int (the peel's grade, slide_terms' index), so a width picked inline
+    # anywhere else would let two layers disagree on one packed int
+    users = sorted(
+        f"{path.name}:{getattr(node, 'name', type(node).__name__)}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if "bit_length" in set(_uses(node))
+    )
+    assert users == [
+        "chromatic.py:_t_slot",
+        "compositions.py:digit_bits",
+        "compositions.py:slide_terms",
+        "tpoly.py:peel",
+    ], users
 
 
 def test_only_the_window_cuts_read_the_slide_set_memo_on_window_digits():

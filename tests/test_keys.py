@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,7 @@ from slidechrom import (
 )
 from slidechrom import chromatic, keys
 from slidechrom.chromatic import slide_expansion
-from slidechrom.compositions import pack, unpack
+from slidechrom.compositions import digit_bits, pack, unpack
 from slidechrom.tpoly import ExpansionError, combine
 
 
@@ -214,7 +215,7 @@ def test_keys_are_slide_positive():
             assert combine(exp, lambda b: slide_polynomial(b, w).terms.items()) == kappa.terms
             # the key-to-slide row key_expansion_of_chromatic peels with,
             # built on [1, len(b)] at the weight's width, is the same expansion
-            bits = sum(entries).bit_length()
+            bits = digit_bits(sum(entries))
             row = keys._key_slide_row(pack(entries, bits), bits)
             assert {wc(unpack(a, bits)): {0: c} for a, c in row} == exp
             checked += 1
@@ -499,6 +500,22 @@ def test_fixture_records_present():
         p = PartialDyckPath.parse(rec.path)
         assert p.n == 6 and p.r <= 6
         assert any(c < 0 for _, c in rec.coefficient)
+
+
+@pytest.mark.parametrize("doc", [{"paths": []}, {"records": {}}, [], None])
+def test_fixture_without_a_records_list_raises(monkeypatch, tmp_path, doc):
+    # a copy of the fixtures directory with one more file: the shipped
+    # fixture still loads its 6 records, and the bad file raises by name
+    shipped = load_negative_fixtures()
+    assert len(shipped) == 6
+    (tmp_path / "fixtures").mkdir()
+    for fp in (Path(keys.__file__).parent / "fixtures").glob("*.json"):
+        (tmp_path / "fixtures" / fp.name).write_text(fp.read_text())
+    monkeypatch.setattr(keys, "__file__", str(tmp_path / "keys.py"))
+    assert load_negative_fixtures() == shipped
+    (tmp_path / "fixtures" / "zz_bad.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="zz_bad.json"):
+        load_negative_fixtures()
 
 
 def test_fixture_records_replay():

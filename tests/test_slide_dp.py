@@ -25,6 +25,7 @@ from slidechrom import (
     transpose,
 )
 from slidechrom.chromatic import _dp_tables, _packed_dp, _t_slot, _t_unpack, _terms
+from slidechrom.compositions import digit_bits
 
 SMALL = [p for n in range(6) for r in range(5) for p in enumerate_paths(n, r)]
 # every 50th six-vertex path in scan order (r ascending, words lexicographic)
@@ -116,9 +117,9 @@ def test_small_paths_match_permutation_sum(permutation_rows):
         assert slide_expansion(p, lo=1) == positive_part(full), p.literal
         for lo in (-1, 0, 2):
             assert slide_expansion(p, lo=lo) == part_from(full, lo), (p.literal, lo)
-        # the packed core: each index packed from lo, n.bit_length() bits
+        # the packed core: each index packed from lo, digit_bits(n) bits
         # per entry, as compositions.pack lays it out
-        graph, rho, bits, slot = dyck_graph(p), restriction_map(p), p.n.bit_length(), _t_slot(p.n)
+        graph, rho, bits, slot = dyck_graph(p), restriction_map(p), digit_bits(p.n), _t_slot(p.n)
         # lo = r and r + 1 leave the fewest states alive
         for lo in (1, -1, 0, 2, 1 - p.n, p.r, p.r + 1):
             dp = {x: _t_unpack(tc, slot) for x, tc in _packed_dp(graph, rho, lo).items()}
