@@ -5,10 +5,12 @@ human-readable by default (weak compositions in bar notation); --json
 switches to one deterministic JSON document per invocation, with the
 polynomial schema shared with :mod:`slidechrom.tpoly`.
 
-Sweeps fan out over worker processes (--threads, default one per core,
-never more than the cores or the paths);
-tasks are handed out in dyck.scan_paths order and results come back in
-task order, so the thread count never changes the output.
+Sweeps fan out over forked worker processes (--threads, default one per
+core, never more than the cores or the paths): the parent builds the
+paths in dyck.scan_paths order, deals them out in chunks of 64 and puts
+the results back in that order, so the thread count never changes the
+output.  One worker, one chunk, or a platform without os.fork runs the
+serial loop.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import marshal
 import os
 import sys
 from dataclasses import dataclass
@@ -327,25 +330,29 @@ def cmd_paths(args) -> CommandResult:
 
 # ---------------------------------------------------------------- sweep
 
-# worker globals: one key-to-slide row cache per process, keyed by
-# (width, packed key index) (see keys.key_expansion_of_chromatic), at
-# most C(n + r_max - 1, r_max - 1) rows per n; their key monomials stay
-# in keys' memo and their slide sets in compositions.packed_slides
+# one key-to-slide row cache per process, keyed by (width, packed key
+# index) (see keys.key_expansion_of_chromatic), at most
+# C(n + r_max - 1, r_max - 1) rows per n; their key monomials stay in
+# keys' memo and their slide sets in compositions.packed_slides.  A
+# forked worker starts from the parent's cache as it stood at the fork
+# and fills its own copy
 _SWEEP_CACHE: dict = {}
+
+# tasks per chunk, the unit _fan_out deals to its workers
+_CHUNK = 64
 
 
 def _sweep_one(task):
-    mode, literal, m = task
-    path = PartialDyckPath.parse(literal)
+    mode, path, m = task
     # theorem and backstable decide on the packed routes and build no report
     if mode == "theorem":
         equal, nonnegative = chromatic_verdict(path, Window(1, path.r))
-        return {"path": literal, "ok": equal and nonnegative}
+        return {"path": path.literal, "ok": equal and nonnegative}
     if mode == "backstable":
         equal, _ = chromatic_verdict(path, Window(1 - m, path.r))
-        return {"path": literal, "ok": equal}
+        return {"path": path.literal, "ok": equal}
     if mode == "corollary":
-        return {"path": literal, "ok": verify_fundamental_expansion(path, m)}
+        return {"path": path.literal, "ok": verify_fundamental_expansion(path, m)}
     if mode == "keys":
         recs = [
             {
@@ -355,8 +362,93 @@ def _sweep_one(task):
             }
             for rec in negative_records(path, _SWEEP_CACHE)
         ]
-        return {"path": literal, "ok": True, "findings": recs}
+        return {"path": path.literal, "ok": True, "findings": recs}
     raise ValueError(mode)
+
+
+def _fan_out(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], computed in `workers` forked children, or
+    in this process when the tasks fill only one chunk.
+
+    The tasks are cut into chunks of _CHUNK, and child k runs chunks k,
+    k + workers, k + 2·workers, ... in order.  It inherits the tasks, so
+    nothing is pickled on the way in, and it writes its results back as
+    one marshal blob over its own pipe.  The parent reads and reaps each
+    child in turn and deals the chunks back into task order.  A bare fork
+    is safe only because the CLI never starts a thread.
+
+    A child stops at its first exception and sends it back pickled; the
+    parent raises the one from the earliest chunk, which is the exception
+    the serial loop raises.  A child that dies or exits nonzero raises
+    ChildProcessError.  On any error the parent kills and reaps the
+    children still running, so none outlives the call."""
+    chunks = [tasks[i:i + _CHUNK] for i in range(0, len(tasks), _CHUNK)]
+    workers = min(workers, len(chunks))  # a child with no chunk is not forked
+    if workers == 1:
+        return [fn(t) for t in tasks]  # nor is one for the only chunk
+    pipes: list = []
+    pids: list = []  # None once reaped
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, chunks[k::workers], pipes, w)
+            finally:
+                os.close(w)  # in the parent only: _work ends the child
+            pids.append(pid)
+        outs = []
+        for k, pid in enumerate(pids):
+            blob = pipes[k].read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids[k] = None
+            if status < 0:
+                raise ChildProcessError(f"sweep worker {k} was killed by signal {-status}")
+            if status:
+                raise ChildProcessError(f"sweep worker {k} exited with status {status}")
+            outs.append(marshal.loads(blob))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        live = [pid for pid in pids if pid is not None]
+        if live:
+            from signal import SIGKILL
+
+            for pid in live:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    # child k failed in chunk k + (chunks it finished)·workers
+    failed = [(k + len(done) * workers, err) for k, (done, err) in enumerate(outs) if err]
+    if failed:
+        import pickle
+
+        raise pickle.loads(min(failed)[1])
+    return [d for i in range(len(chunks)) for d in outs[i % workers][0][i // workers]]
+
+
+def _work(fn, chunks: list, pipes: list, w: int) -> None:
+    """A forked child of _fan_out: run the chunks, write (results per
+    finished chunk, pickled exception or None) to the pipe end w, and end
+    the process without returning, flushing or running exit handlers."""
+    status = 1
+    try:
+        for pipe in pipes:
+            pipe.close()  # the read ends are the parent's
+        done, err = [], None
+        try:
+            for chunk in chunks:
+                done.append([fn(t) for t in chunk])
+        except BaseException as exc:
+            import pickle
+
+            err = pickle.dumps(exc)
+        with open(w, "wb") as out:
+            out.write(marshal.dumps((done, err)))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def cmd_sweep(args) -> CommandResult:
@@ -365,19 +457,15 @@ def cmd_sweep(args) -> CommandResult:
     mode = args.mode
     m = args.m if args.m is not None else (2 if mode == "backstable" else max(args.n, 1))
     _check_m(m)
-    # results come back in task order, so the output is in scan order
-    tasks = [(mode, p.literal, m) for p in scan_paths(args.n, args.r)]
-    # the pool forks every worker at once; their count never changes the document
+    tasks = [(mode, p, m) for p in scan_paths(args.n, args.r)]
+    # never more workers than cores or paths; results come back in task
+    # order, so the document is in scan order at any worker count
     cores = os.cpu_count() or 1
     workers = min(args.threads or cores, cores, len(tasks))
-    if workers > 1:
-        # imported here: it is half of the module's import time, and the
-        # forked workers do not need it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, tasks, chunksize=64))
+    if workers > 1 and hasattr(os, "fork"):
+        results = _fan_out(_sweep_one, tasks, workers)
     else:
+        # one worker, or a platform without fork: the serial loop
         results = [_sweep_one(t) for t in tasks]
     failures = [d for d in results if not d["ok"]]
     findings = [d for d in results if d.get("findings")]

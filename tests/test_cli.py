@@ -1,11 +1,13 @@
-import concurrent.futures
 import hashlib
+import itertools
 import json
 import os
 import pathlib
 import resource
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,6 +15,7 @@ from slidechrom import (
     NegativeRecord, WeakComposition, chromatic, cli, keys, search_negative_records,
 )
 from slidechrom.cli import main
+from slidechrom.dyck import scan_paths
 
 
 def run(capsys, *argv):
@@ -463,35 +466,105 @@ def test_sweep_rejects_negative_threads(capsys):
 
 
 def test_sweep_pool_is_bounded_by_cores_and_paths(capsys, monkeypatch):
-    # the pool forks every worker at once, so a huge --threads must not
-    # reach it; the stand-in pool records its size and forks nothing
+    # the fan-out forks every worker at once, so a huge --threads must not
+    # reach it; the stand-in records the worker count and forks nothing
     sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def serial(fn, tasks, workers):
+        sizes.append(workers)
+        return [fn(t) for t in tasks]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_fan_out", serial)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _, want = run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", "1")
     for threads in ("100000", "0", "2"):
         _, out = run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", threads)
         assert out == want, threads
     assert sizes == [2, 2, 2]
-    # one path, or one core, needs no pool
+    # one path, or one core, needs no fan-out
     run(capsys, "--json", "sweep", "theorem", "0", "0", "--threads", "100000")
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", "100000")
     assert sizes == [2, 2, 2]
+
+
+def _assert_no_children():
+    # every worker was reaped, so this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 64])
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_sweep_fan_out_deals_chunks_back_in_scan_order(capsys, monkeypatch, chunk, threads):
+    # 311 paths: whole and partial chunks, and workers with unequal shares
+    _, want = run(capsys, "--json", "sweep", "theorem", "4", "3", "--threads", "1")
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, out = run(capsys, "--json", "sweep", "theorem", "4", "3", "--threads", threads)
+    assert (code, out) == (0, want)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_sweep_worker_that_dies_ends_in_error(capsys, monkeypatch, death):
+    # the first path's worker dies; the other worker would sleep for a
+    # minute, so the test ends quickly only if the parent kills it
+    parent = os.getpid()
+    first = next(scan_paths(3, 2)).literal
+
+    def dying(task):
+        assert os.getpid() != parent, "the stub ran in the parent"
+        if task[1].literal != first:
+            time.sleep(60)
+            os._exit(0)
+        elif death == "exit":
+            os._exit(3)
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli, "_sweep_one", dying)
+    monkeypatch.setattr(cli, "_CHUNK", 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    start = time.monotonic()
+    code, doc = run_json(capsys, "sweep", "theorem", "3", "2", "--threads", "2")
+    assert time.monotonic() - start < 30
+    assert code == 2 and doc["status"] == "error"
+    want = "exited with status 3" if death == "exit" else f"was killed by signal {signal.SIGKILL.value}"
+    assert doc["payload"]["error"] == f"sweep worker 0 {want}"
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("exc", [ValueError, MemoryError])
+def test_sweep_worker_exceptions_end_as_in_the_serial_loop(capsys, monkeypatch, exc):
+    # every path past the first chunk raises, each with its own message, so
+    # the document names the path the serial loop reaches first: worker 1
+    # fails in chunk 1 and worker 0 only in chunk 2
+    def failing(task):
+        if task[1].literal not in head:
+            raise exc(task[1].literal)
+        return real(task)
+
+    real = cli._sweep_one
+    head = {p.literal for p in itertools.islice(scan_paths(3, 2), 4)}
+    monkeypatch.setattr(cli, "_sweep_one", failing)
+    monkeypatch.setattr(cli, "_CHUNK", 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, want = run(capsys, "--json", "sweep", "theorem", "3", "2", "--threads", "1")
+    assert code == 2
+    assert run(capsys, "--json", "sweep", "theorem", "3", "2", "--threads", "2") == (code, want)
+    doc = json.loads(want)
+    assert doc["status"] == "error"
+    fifth = list(scan_paths(3, 2))[4].literal
+    assert doc["payload"]["error"] == ("out of memory" if exc is MemoryError else fifth)
+    _assert_no_children()
+
+
+def test_sweep_without_fork_runs_the_serial_loop(capsys, monkeypatch):
+    _, want = run(capsys, "--json", "sweep", "theorem", "4", "3", "--threads", "1")
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run(capsys, "--json", "sweep", "theorem", "4", "3", "--threads", "2") == (0, want)
 
 
 def test_sweep_theorem_small(capsys):

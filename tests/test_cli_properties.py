@@ -108,7 +108,7 @@ def test_every_argv_ends_in_an_exit_code(poly_files, data):
     argv = data.draw(argvs(poly_files), label="argv")
     out = io.StringIO()
     # --threads 0 and the default mean one worker per core; with one core
-    # no example starts a process pool (test_cli.py covers the pool)
+    # no example forks a sweep worker (test_cli.py covers the fan-out)
     with (
         mock.patch("os.cpu_count", return_value=1),
         contextlib.redirect_stdout(out),

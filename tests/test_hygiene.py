@@ -3,7 +3,8 @@ module: no module of the package, its tests or its demos imports a name it
 never uses, every name in __all__ resolves, and every definition is
 referenced somewhere in the repository, and only the oracles are referenced
 from tests alone.  Importing the package and its
-CLI also leaves the process pool's module unloaded, the benchmark's
+CLI, or running a sweep on two workers, loads neither concurrent.futures
+nor multiprocessing, the benchmark's
 tracer finds every name it wraps, only the slide-set memo runs the
 slide walk, no peel reads that memo on a window's digits, only
 compositions.digit_bits turns a weight into a digit width, and the
@@ -237,12 +238,28 @@ def test_kohnert_model_imports_nothing_from_the_package():
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # cli.py imports concurrent.futures only when a sweep starts workers,
-    # which keeps it out of every other command's start-up time
+    # the package imports no process pool, so no command's start-up
+    # pays for loading one
     code = "import sys, slidechrom, slidechrom.cli; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_sweep_fans_out_without_a_process_pool():
+    # sweep workers are bare forks; a small chunk and two cores make
+    # sweep theorem 3 2 (47 paths) fork both even on a one-core host
+    code = (
+        "import io, os, sys, contextlib, slidechrom.cli as cli\n"
+        "os.cpu_count = lambda: 2\n"
+        "cli._CHUNK = 4\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['--json', 'sweep', 'theorem', '3', '2', '--threads', '2'])\n"
+        "print(code, sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"
 
 
 def test_bench_tracer_resolves_every_target():
