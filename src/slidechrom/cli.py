@@ -5,20 +5,18 @@ human-readable by default (weak compositions in bar notation); --json
 switches to one deterministic JSON document per invocation, with the
 polynomial schema shared with :mod:`slidechrom.tpoly`.
 
-Sweeps fan out over forked worker processes (--threads, default one per
-core, never more than the cores or the paths): the parent builds the
-paths in dyck.scan_paths order, deals them out in chunks of 64 and puts
-the results back in that order, so the thread count never changes the
-output.  One worker, one chunk, or a platform without os.fork runs the
-serial loop.
+Every argument is checked once, by _refusal, before a command runs.
+Sweeps run through _fan_out, which forks up to --threads workers (default
+one per core) over the paths in dyck.scan_paths order and puts the results
+back in that order, so the thread count never changes the output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
-import marshal
 import os
 import sys
 from dataclasses import dataclass
@@ -72,28 +70,39 @@ def _expansion_lines(exp, indent: str = "  ") -> list[str]:
     return [f"{indent}{str(a):<{width}}  {t_str(exp[a])}" for a in order]
 
 
-def _check_m(m: int | None) -> None:
+def _refusal(args) -> CommandResult | None:
+    """Check a command's arguments once, before it runs, and put the
+    parsed path in args.path.  Returns the error result of a run too
+    large to start without --force, or None; a bad argument raises
+    ValueError.  The size rules skip slides, which checks its window once
+    the file is read, and a paths count, which is a closed form."""
+    command, m = args.command, getattr(args, "m", None)
+    if command == "sweep" and m is not None and args.mode in ("theorem", "keys"):
+        raise ValueError(f"sweep {args.mode} reads no --m; only backstable and corollary do")
+    if command in ("sweep", "paths"):
+        n, r = args.n, args.r
+    elif command != "slides":
+        args.path = PartialDyckPath.parse(args.path)
+        n, r = args.path.n, args.path.r
+    if not (getattr(args, "force", True) or command == "slides" or command == "paths" and not args.list):
+        refused = _size_refusal(n, r, m, getattr(args, "window", None))
+        if refused:
+            return refused
+    if command == "paths" and min(n, r) >= 0:
+        # |P(n, r)| <= C(2n + r, n) <= 2^(2n + r), and 0.30103 > log10(2);
+        # a limit of 0, or an interpreter without one, lets any int print
+        digits = (2 * n + r) * 30103 // 100000 + 1
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if 0 < limit < digits:
+            raise ValueError(
+                f"|P({n},{r})| can have up to {digits} digits, more than the "
+                f"{limit} that sys.get_int_max_str_digits() allows to print"
+            )
+    if getattr(args, "threads", None) is not None and args.threads < 0:
+        raise ValueError(f"--threads must be >= 0, got {args.threads}")
     if m is not None and m < 1:
         raise ValueError(f"--m must be >= 1, got {m}")
-
-
-def _refusal(args) -> CommandResult | None:
-    """The error result for a run too large to start without --force,
-    checked before every command that has the option; slides checks its
-    window itself, once the file is read, and paths refuses only --list.
-    A sweep --m its mode never reads raises ValueError, forced or not."""
-    if args.command == "sweep" and args.m is not None and args.mode in ("theorem", "keys"):
-        raise ValueError(f"sweep {args.mode} reads no --m; only backstable and corollary do")
-    if getattr(args, "force", True) or args.command == "slides":
-        return None
-    if args.command == "paths" and not args.list:
-        return None  # a count is a closed form
-    if args.command in ("sweep", "paths"):
-        n, r = args.n, args.r
-    else:
-        path = PartialDyckPath.parse(args.path)
-        n, r = path.n, path.r
-    return _size_refusal(n, r, getattr(args, "m", None), getattr(args, "window", None))
+    return None
 
 
 def _size_refusal(n: int, r: int, m: int | None, window) -> CommandResult | None:
@@ -133,7 +142,7 @@ def _window(args, default: Window) -> Window:
 
 
 def cmd_graph(args) -> CommandResult:
-    path = PartialDyckPath.parse(args.path)
+    path = args.path
     g = dyck_graph(path)
     rho = restriction_map(path)
     payload = {
@@ -153,7 +162,7 @@ def cmd_graph(args) -> CommandResult:
 
 
 def cmd_chromatic(args) -> CommandResult:
-    path = PartialDyckPath.parse(args.path)
+    path = args.path
     w = _window(args, Window(1, path.r))
     payload: dict = {"path": path.to_json(), "window": [w.lo, w.hi], "mode": args.mode}
     lines = [f"path   {path.literal}", f"window [{w.lo}, {w.hi}]"]
@@ -209,7 +218,7 @@ def cmd_slides(args) -> CommandResult:
 
 
 def cmd_rdes(args) -> CommandResult:
-    path = PartialDyckPath.parse(args.path)
+    path = args.path
     g = dyck_graph(path)
     rho = restriction_map(path)
     poset = incomparability_poset(g)
@@ -244,8 +253,7 @@ def cmd_rdes(args) -> CommandResult:
 
 
 def cmd_backstable(args) -> CommandResult:
-    path = PartialDyckPath.parse(args.path)
-    _check_m(args.m)
+    path = args.path
     rep = verify_backstable(path, args.m)
     payload = {
         "path": path.to_json(),
@@ -269,8 +277,7 @@ def cmd_backstable(args) -> CommandResult:
 
 
 def cmd_qsym(args) -> CommandResult:
-    path = PartialDyckPath.parse(args.path)
-    _check_m(args.m)
+    path = args.path
     exp = fundamental_expansion(path)
     order = sorted(exp)
     payload: dict = {
@@ -298,7 +305,7 @@ def cmd_qsym(args) -> CommandResult:
 
 
 def cmd_keys(args) -> CommandResult:
-    path = PartialDyckPath.parse(args.path)
+    path = args.path
     exp = key_expansion_of_chromatic(path)
     positive = is_key_positive(exp)
     negatives = {
@@ -330,20 +337,12 @@ def cmd_paths(args) -> CommandResult:
 
 # ---------------------------------------------------------------- sweep
 
-# one key-to-slide row cache per process, keyed by (width, packed key
-# index) (see keys.key_expansion_of_chromatic), at most
-# C(n + r_max - 1, r_max - 1) rows per n; their key monomials stay in
-# keys' memo and their slide sets in compositions.packed_slides.  A
-# forked worker starts from the parent's cache as it stood at the fork
-# and fills its own copy
-_SWEEP_CACHE: dict = {}
-
 # tasks per chunk, the unit _fan_out deals to its workers
 _CHUNK = 64
 
 
-def _sweep_one(task):
-    mode, path, m = task
+def _sweep_one(mode: str, m: int, rows: dict, path: PartialDyckPath) -> dict:
+    """One path's result; rows is the sweep's key-to-slide row cache."""
     # theorem and backstable decide on the packed routes and build no report
     if mode == "theorem":
         equal, nonnegative = chromatic_verdict(path, Window(1, path.r))
@@ -360,32 +359,37 @@ def _sweep_one(task):
                 "composition_str": str(rec.composition),
                 "t": t_to_json(dict(rec.coefficient)),
             }
-            for rec in negative_records(path, _SWEEP_CACHE)
+            for rec in negative_records(path, rows)
         ]
         return {"path": path.literal, "ok": True, "findings": recs}
     raise ValueError(mode)
 
 
-def _fan_out(fn, tasks: list, workers: int) -> list:
-    """[fn(t) for t in tasks], computed in `workers` forked children, or
-    in this process when the tasks fill only one chunk.
+def _fan_out(fn, tasks: list, threads: int | None) -> list:
+    """[fn(t) for t in tasks], computed by up to `threads` forked
+    children (None or 0: one per core), never more than the cores or the
+    chunks; one worker, one chunk or a platform without os.fork runs the
+    serial loop in this process.
 
-    The tasks are cut into chunks of _CHUNK, and child k runs chunks k,
-    k + workers, k + 2·workers, ... in order.  It inherits the tasks, so
-    nothing is pickled on the way in, and it writes its results back as
-    one marshal blob over its own pipe.  The parent reads and reaps each
-    child in turn and deals the chunks back into task order.  A bare fork
-    is safe only because the CLI never starts a thread.
+    The tasks are cut into chunks of _CHUNK, and child k of W runs chunks
+    k, k + W, k + 2W, ... in order.  It inherits fn and the tasks, so
+    nothing is pickled on the way in, and it writes its results back
+    pickled over its own pipe.  The parent reads and reaps each child in
+    turn and deals the chunks back into task order.  A bare fork is safe
+    only because the CLI never starts a thread.
 
-    A child stops at its first exception and sends it back pickled; the
-    parent raises the one from the earliest chunk, which is the exception
-    the serial loop raises.  A child that dies or exits nonzero raises
+    A child stops at its first exception and sends it back; the parent
+    raises the one from the earliest chunk, which is the exception the
+    serial loop raises.  A child that dies or exits nonzero raises
     ChildProcessError.  On any error the parent kills and reaps the
     children still running, so none outlives the call."""
     chunks = [tasks[i:i + _CHUNK] for i in range(0, len(tasks), _CHUNK)]
-    workers = min(workers, len(chunks))  # a child with no chunk is not forked
-    if workers == 1:
-        return [fn(t) for t in tasks]  # nor is one for the only chunk
+    cores = os.cpu_count() or 1
+    workers = min(threads or cores, cores, len(chunks))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(t) for t in tasks]
+    import pickle
+
     pipes: list = []
     pids: list = []  # None once reaped
     try:
@@ -408,7 +412,7 @@ def _fan_out(fn, tasks: list, workers: int) -> list:
                 raise ChildProcessError(f"sweep worker {k} was killed by signal {-status}")
             if status:
                 raise ChildProcessError(f"sweep worker {k} exited with status {status}")
-            outs.append(marshal.loads(blob))
+            outs.append(pickle.loads(blob))
     finally:
         for pipe in pipes:
             pipe.close()
@@ -420,18 +424,19 @@ def _fan_out(fn, tasks: list, workers: int) -> list:
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
     # child k failed in chunk k + (chunks it finished)·workers
-    failed = [(k + len(done) * workers, err) for k, (done, err) in enumerate(outs) if err]
+    failed = [(k + len(done) * workers, err) for k, (done, err) in enumerate(outs) if err is not None]
     if failed:
-        import pickle
-
-        raise pickle.loads(min(failed)[1])
+        raise min(failed)[1]
     return [d for i in range(len(chunks)) for d in outs[i % workers][0][i // workers]]
 
 
 def _work(fn, chunks: list, pipes: list, w: int) -> None:
-    """A forked child of _fan_out: run the chunks, write (results per
-    finished chunk, pickled exception or None) to the pipe end w, and end
-    the process without returning, flushing or running exit handlers."""
+    """A forked child of _fan_out: run the chunks, write the pickled
+    (results per finished chunk, exception or None) to the pipe end w,
+    and end the process without returning, flushing or running exit
+    handlers."""
+    import pickle
+
     status = 1
     try:
         for pipe in pipes:
@@ -441,32 +446,24 @@ def _work(fn, chunks: list, pipes: list, w: int) -> None:
             for chunk in chunks:
                 done.append([fn(t) for t in chunk])
         except BaseException as exc:
-            import pickle
-
-            err = pickle.dumps(exc)
+            err = exc
         with open(w, "wb") as out:
-            out.write(marshal.dumps((done, err)))
+            out.write(pickle.dumps((done, err)))
         status = 0
     finally:
         os._exit(status)
 
 
 def cmd_sweep(args) -> CommandResult:
-    if args.threads is not None and args.threads < 0:
-        raise ValueError(f"--threads must be >= 0, got {args.threads}")
     mode = args.mode
     m = args.m if args.m is not None else (2 if mode == "backstable" else max(args.n, 1))
-    _check_m(m)
-    tasks = [(mode, p, m) for p in scan_paths(args.n, args.r)]
-    # never more workers than cores or paths; results come back in task
-    # order, so the document is in scan order at any worker count
-    cores = os.cpu_count() or 1
-    workers = min(args.threads or cores, cores, len(tasks))
-    if workers > 1 and hasattr(os, "fork"):
-        results = _fan_out(_sweep_one, tasks, workers)
-    else:
-        # one worker, or a platform without fork: the serial loop
-        results = [_sweep_one(t) for t in tasks]
+    # the sweep's key-to-slide row cache, keyed by (width, packed key
+    # index) (see keys.key_expansion_of_chromatic), at most
+    # C(n + r_max - 1, r_max - 1) rows; their key monomials stay in keys'
+    # memo and their slide sets in compositions.packed_slides.  A forked
+    # worker starts from it as it stands at the fork and fills its own copy
+    one = functools.partial(_sweep_one, mode, m, {})
+    results = _fan_out(one, list(scan_paths(args.n, args.r)), args.threads)
     failures = [d for d in results if not d["ok"]]
     findings = [d for d in results if d.get("findings")]
     payload: dict = {

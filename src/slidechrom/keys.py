@@ -161,7 +161,8 @@ class NegativeRecord:
     def from_json(cls, d: dict) -> "NegativeRecord":
         """Inverse of to_json.  Raises ValueError on any other shape, on a
         path literal PartialDyckPath.parse rejects and on a coefficient
-        with no negative entry."""
+        that tpoly.t_from_json rejects, such as one with a negative
+        t-degree, or that has no negative entry."""
         fields = {"path", "composition", "coefficient"}
         if not (isinstance(d, dict) and fields <= d.keys()):
             raise ValueError(f"record must be {{path, composition, coefficient}}, got {d!r}")

@@ -70,8 +70,9 @@ def t_to_json(a: Mapping[int, int]) -> list[dict]:
 def t_from_json(items) -> TCoeff:
     """Inverse of t_to_json, which writes no zero coef; a zero coef read
     is dropped.  Raises ValueError on any other shape, on a coef that is
-    neither an int nor a decimal string such as "-12", and on a repeated
-    t-degree, which would otherwise overwrite the first, zero or not."""
+    neither an int nor a decimal string such as "-12", on a negative
+    t-degree, which is not in Z[t], and on a repeated t-degree, which
+    would otherwise overwrite the first, zero or not."""
     if not isinstance(items, list):
         raise ValueError(f"t must be a list of {{deg, coef}}, got {items!r}")
     out: TCoeff = {}
@@ -81,6 +82,8 @@ def t_from_json(items) -> TCoeff:
             and (type(coef := x.get("coef")) is int or type(coef) is str and _is_decimal(coef))
         ):
             raise ValueError(f"t entry must be {{deg, coef}}, got {x!r}")
+        if x["deg"] < 0:
+            raise ValueError(f"negative t-degree {x['deg']}")
         if x["deg"] in out:
             raise ValueError(f"duplicate t-degree {x['deg']}")
         out[x["deg"]] = int(coef)

@@ -65,10 +65,10 @@ def test_sweep_checks_build_only_the_window_indices(monkeypatch):
 
     monkeypatch.setattr(chromatic, "_packed_dp", recording)
     p = PartialDyckPath.parse("ENEEENENEENNEENEE@6,5")
-    assert _sweep_one(("theorem", p, 6))["ok"]
+    assert _sweep_one("theorem", 6, {}, p)["ok"]
     assert calls == [1]
     calls.clear()
-    assert _sweep_one(("backstable", p, 2))["ok"]
+    assert _sweep_one("backstable", 2, {}, p)["ok"]
     assert calls == [-1]
     calls.clear()
     rep = compare_chromatic(p, Window(1, p.r))
@@ -236,9 +236,9 @@ def test_sweep_verdicts_match_the_reports():
             for p in enumerate_paths(n, r):
                 rep = compare_chromatic(p, Window(1, r))
                 assert chromatic_verdict(p, Window(1, r)) == (rep.equal, rep.nonnegative)
-                assert _sweep_one(("theorem", p, None))["ok"] is rep.ok, p.literal
+                assert _sweep_one("theorem", None, {}, p)["ok"] is rep.ok, p.literal
                 for m in (0, 1, 2):
-                    ok = _sweep_one(("backstable", p, m))["ok"]
+                    ok = _sweep_one("backstable", m, {}, p)["ok"]
                     assert ok is verify_backstable(p, m).equal, (p.literal, m)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import pathlib
 import resource
@@ -143,6 +144,13 @@ def test_slides_duplicate_exponent_is_error(tmp_path, capsys):
 def test_slides_malformed_terms_is_error(tmp_path, capsys):
     msg = _slides_error(tmp_path, capsys, {"window": [1, 1], "terms": 5})
     assert "terms" in msg
+
+
+def test_slides_negative_t_degree_is_error(tmp_path, capsys):
+    # t^-1 is a Laurent term, not in Z[t]
+    x1 = {"exp": {"lo": 1, "entries": [1]}, "t": [{"deg": -1, "coef": "1"}]}
+    msg = _slides_error(tmp_path, capsys, {"window": [1, 1], "terms": [x1]})
+    assert msg == "negative t-degree -1 at exponent 1"
 
 
 def test_slides_non_decimal_coefficient_is_error(tmp_path, capsys):
@@ -440,6 +448,24 @@ def test_paths_list_needs_force_past_six(capsys, n, r):
     assert code == 0 and doc["payload"]["count"] == 342083970650885005051344
 
 
+def test_paths_refuses_a_count_it_cannot_print(capsys, monkeypatch):
+    # |P(10^7, 0)| has about six million digits, past the interpreter's
+    # default limit of 4300 on int to str, and takes minutes to build, so
+    # it is refused before the count is built
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    for extra in ((), ("--list", "--force")):
+        start = time.monotonic()
+        code, out = run(capsys, "paths", "10000000", "0", *extra)
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == (
+            "error: |P(10000000,0)| can have up to 6020601 digits, more than the "
+            "4300 that sys.get_int_max_str_digits() allows to print\nstatus: error\n"
+        )
+    # the Catalan number C_7000 has 4209 digits
+    code, doc = run_json(capsys, "paths", "7000", "0")
+    assert code == 0 and doc["payload"]["count"] == math.comb(14000, 7000) // 7001
+
+
 @pytest.mark.parametrize("n, r", [("-1", "2"), ("2", "-1")])
 def test_paths_rejects_negative_size(capsys, n, r):
     code, doc = run_json(capsys, "paths", n, r)
@@ -465,27 +491,37 @@ def test_sweep_rejects_negative_threads(capsys):
     assert "--threads" in doc["payload"]["error"]
 
 
-def test_sweep_pool_is_bounded_by_cores_and_paths(capsys, monkeypatch):
+def test_sweep_fan_out_is_bounded_by_cores_and_chunks(capsys, monkeypatch):
     # the fan-out forks every worker at once, so a huge --threads must not
-    # reach it; the stand-in records the worker count and forks nothing
-    sizes = []
+    # reach os.fork; count the forks of sweep theorem 4 3 (311 paths, five
+    # chunks of 64) and of sweep theorem 2 2 (16 paths, one chunk)
+    forks = []
 
-    def serial(fn, tasks, workers):
-        sizes.append(workers)
-        return [fn(t) for t in tasks]
+    def counting_fork(real=os.fork):
+        # an unbounded fan-out fails here, before it forks too many
+        assert len(forks) < 16, "the fan-out forked past its bound"
+        forks.append(None)
+        return real()
 
-    monkeypatch.setattr(cli, "_fan_out", serial)
+    def sweep(n, threads):
+        before = len(forks)
+        assert run(capsys, "--json", "sweep", "theorem", n, r_max[n], "--threads", threads) == (0, want[n])
+        return len(forks) - before
+
+    r_max = {"4": "3", "2": "2"}
+    want = {n: run(capsys, "--json", "sweep", "theorem", n, r, "--threads", "1")[1] for n, r in r_max.items()}
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _, want = run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", "1")
-    for threads in ("100000", "0", "2"):
-        _, out = run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", threads)
-        assert out == want, threads
-    assert sizes == [2, 2, 2]
-    # one path, or one core, needs no fan-out
-    run(capsys, "--json", "sweep", "theorem", "0", "0", "--threads", "100000")
+    assert [sweep("4", threads) for threads in ("100000", "0", "2", "1")] == [2, 2, 2, 0]
+    # one chunk, or one core, needs no fan-out
+    assert sweep("2", "100000") == 0
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    run(capsys, "--json", "sweep", "theorem", "2", "2", "--threads", "100000")
-    assert sizes == [2, 2, 2]
+    assert sweep("4", "100000") == 0
+    # more cores than chunks: one worker per chunk
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli, "_CHUNK", 128)
+    assert sweep("4", "0") == 3
+    _assert_no_children()
 
 
 def _assert_no_children():
@@ -513,9 +549,9 @@ def test_sweep_worker_that_dies_ends_in_error(capsys, monkeypatch, death):
     parent = os.getpid()
     first = next(scan_paths(3, 2)).literal
 
-    def dying(task):
+    def dying(mode, m, rows, path):
         assert os.getpid() != parent, "the stub ran in the parent"
-        if task[1].literal != first:
+        if path.literal != first:
             time.sleep(60)
             os._exit(0)
         elif death == "exit":
@@ -540,10 +576,10 @@ def test_sweep_worker_exceptions_end_as_in_the_serial_loop(capsys, monkeypatch, 
     # every path past the first chunk raises, each with its own message, so
     # the document names the path the serial loop reaches first: worker 1
     # fails in chunk 1 and worker 0 only in chunk 2
-    def failing(task):
-        if task[1].literal not in head:
-            raise exc(task[1].literal)
-        return real(task)
+    def failing(mode, m, rows, path):
+        if path.literal not in head:
+            raise exc(path.literal)
+        return real(mode, m, rows, path)
 
     real = cli._sweep_one
     head = {p.literal for p in itertools.islice(scan_paths(3, 2), 4)}
@@ -634,10 +670,10 @@ def test_sweep_keys_finds_nothing_tiny(capsys):
 
 def test_sweep_keys_shares_its_row_cache_across_widths(capsys):
     # n = 3 packs at 2 bits and n = 4 and 5 at 3, so caches keyed on the
-    # packed index alone would hand n = 4 and 5 entries built for n = 3
+    # packed index alone would hand n = 4 and 5 entries built for n = 3;
+    # each sweep starts its own row cache, while keys._KEY_CACHE outlives it
     def sweep(n, fresh=False):
         if fresh:
-            cli._SWEEP_CACHE.clear()
             keys._KEY_CACHE.clear()
         return run(capsys, "--json", "sweep", "keys", str(n), str(n), "--threads", "1")
 

@@ -151,8 +151,8 @@ ODD_VALUES = st.sampled_from(
 @st.composite
 def polynomial_documents(draw):
     """The text of a polynomial document: one that loads, or one with a
-    wrong type, a repeated exponent or t-degree, a huge coefficient, an
-    odd window or broken JSON in it."""
+    wrong type, a repeated exponent or t-degree, a negative t-degree, a
+    huge coefficient, an odd window or broken JSON in it."""
     doc = {
         "window": [draw(WINDOW_ENDS), draw(WINDOW_ENDS)],
         "terms": draw(
@@ -171,7 +171,7 @@ def polynomial_documents(draw):
         doc["window"] = [min((a for a, _ in ends), default=1), max((b for _, b in ends), default=0)]
     terms = doc["terms"]
     # flaw 0, a document with no deliberate flaw, is drawn about half the time
-    flaw = draw(st.one_of(st.just(0), st.integers(1, 10)))
+    flaw = draw(st.one_of(st.just(0), st.integers(1, 11)))
     if flaw == 1:
         doc[draw(st.sampled_from(["window", "terms"]))] = draw(ODD_VALUES)
     elif flaw == 2 and terms:
@@ -201,6 +201,9 @@ def polynomial_documents(draw):
         draw(st.sampled_from(terms))["t"].append(draw(ODD_VALUES))
     elif flaw == 8:
         doc = draw(st.sampled_from([[], "polynomial", 3, None, "HUGE"]))
+    elif flaw == 11 and terms:
+        # t^-1 is a Laurent term, not in Z[t]
+        draw(st.sampled_from(terms))["t"].append({"deg": -1, "coef": draw(VALID_COEFS)})
     text = json.dumps(doc).replace('"HUGE"', HUGE_DIGITS)
     if flaw == 9:
         text = text[: draw(st.integers(0, len(text) - 1))]

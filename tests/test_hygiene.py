@@ -2,9 +2,10 @@
 module: no module of the package, its tests or its demos imports a name it
 never uses, every name in __all__ resolves, and every definition is
 referenced somewhere in the repository, and only the oracles are referenced
-from tests alone.  Importing the package and its
-CLI, or running a sweep on two workers, loads neither concurrent.futures
-nor multiprocessing, the benchmark's
+from tests alone.  Importing the package and its CLI loads none of
+concurrent.futures, multiprocessing and pickle, and a sweep's fan-out
+on two workers loads neither of the first two; only that fan-out forks
+or counts cores, and the CLI keeps no module-level state.  The benchmark's
 tracer finds every name it wraps, only the slide-set memo runs the
 slide walk, no peel reads that memo on a window's digits, only
 compositions.digit_bits turns a weight into a digit width, and the
@@ -238,16 +239,19 @@ def test_kohnert_model_imports_nothing_from_the_package():
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # the package imports no process pool, so no command's start-up
-    # pays for loading one
-    code = "import sys, slidechrom, slidechrom.cli; print('concurrent.futures' in sys.modules)"
+    # sweeps fan out by bare fork, and only a fan-out that forks imports
+    # pickle, so no command's start-up pays for loading either
+    code = (
+        "import sys, slidechrom, slidechrom.cli\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'pickle'} & set(sys.modules)))\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_fans_out_without_a_process_pool():
-    # sweep workers are bare forks; a small chunk and two cores make
+    # the fan-out forks bare workers; a small chunk and two cores make
     # sweep theorem 3 2 (47 paths) fork both even on a one-core host
     code = (
         "import io, os, sys, contextlib, slidechrom.cli as cli\n"
@@ -260,6 +264,41 @@ def test_sweep_fans_out_without_a_process_pool():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 []"
+
+
+def test_only_the_fan_out_forks_or_counts_cores():
+    # cli._fan_out alone picks a sweep's worker count and its serial
+    # loop, so no second one can grow beside it; a string such as
+    # hasattr(os, "fork")'s counts as a use
+    users = sorted(
+        f"{path.name}:{getattr(node, 'name', type(node).__name__)}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if {"fork", "cpu_count"} & (set(_references(node)) | set(_trace_targets(node)))
+    )
+    assert users == ["cli.py:_fan_out"], users
+
+
+def test_cli_keeps_no_module_level_state():
+    # each sweep builds its own row cache and hands it to its workers; a
+    # module-level cache would outlive the sweep, so every module-level
+    # binding in cli.py is a constant
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = [node for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))]
+    state = [ast.unparse(node) for node in bound if not isinstance(node.value, ast.Constant)]
+    assert bound and not state, state
+
+
+def test_retired_cli_plumbing_stays_gone():
+    # _refusal checks every argument once, and the fan-out sends results
+    # and exceptions back as pickle; _check_m, marshal and the
+    # module-level row cache were their second paths
+    retired = {"_check_m", "marshal", "_SWEEP_CACHE"}
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        names.update(_references(ast.parse(path.read_text(), filename=str(path))))
+    assert not names & retired, sorted(names & retired)
 
 
 def test_bench_tracer_resolves_every_target():

@@ -452,6 +452,8 @@ def test_negative_record_from_json_drops_zero_coefficients():
         # a zero entry still claims its degree
         ([{"deg": 2, "coef": "-1"}, {"deg": 2, "coef": "0"}], "duplicate t-degree"),
         ([{"deg": 2, "coef": "0"}, {"deg": 2, "coef": "-1"}], "duplicate t-degree"),
+        # t^-1 is a Laurent term, not in Z[t]
+        ([{"deg": 2, "coef": "-1"}, {"deg": -1, "coef": "1"}], "negative t-degree -1"),
     ],
 )
 def test_negative_record_from_json_rejects_bad_coefficients(coefficient, msg):

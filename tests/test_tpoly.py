@@ -217,6 +217,16 @@ def test_t_from_json_drops_zero_coefficients():
     assert t_from_json([{"deg": 0, "coef": "0"}]) == {}
 
 
+@pytest.mark.parametrize("coef", ["1", "-2", "0"])
+def test_t_from_json_rejects_negative_degrees(coef):
+    # t^-1 is a Laurent term, not in Z[t]; a zero entry is no exception
+    with pytest.raises(ValueError, match="negative t-degree -1"):
+        t_from_json([{"deg": 0, "coef": "1"}, {"deg": -1, "coef": coef}])
+    doc = {"window": [1, 1], "terms": [{**_X1, "t": [{"deg": -1, "coef": coef}]}]}
+    with pytest.raises(ValueError, match="negative t-degree -1"):
+        TPolynomial.from_json_dict(doc)
+
+
 def test_from_json_reads_int_and_decimal_coefficients():
     t = [{"deg": 0, "coef": 7}, {"deg": 1, "coef": "-12"}, {"deg": 2, "coef": "007"}]
     p = TPolynomial.from_json_dict({"window": [1, 1], "terms": [{**_X1, "t": t}]})
