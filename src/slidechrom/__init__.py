@@ -4,13 +4,10 @@ Dyck graphs, slide and key bases, and positivity searches."""
 from .compositions import (
     WeakComposition,
     Window,
-    comp_of_subset,
     dominates,
     leq_slide,
     refines,
     slide_set,
-    subset_of_comp,
-    transpose,
 )
 from .dyck import (
     DyckGraph,
@@ -23,7 +20,6 @@ from .dyck import (
 )
 from .posets import (
     LabeledPoset,
-    acyclic_orientations,
     descent_composition,
     descent_composition_by_labels,
     graph_inversions,
@@ -31,8 +27,6 @@ from .posets import (
     omega_labeling,
     orientation_from_perm,
     partition_generating_function,
-    poset_descents,
-    poset_of_orientation,
     tightened_bounds,
     tightened_bounds_by_labels,
 )
@@ -40,7 +34,6 @@ from .slides import (
     expand_in_slides,
     fundamental_qsym,
     slide_polynomial,
-    slide_polynomial_by_chains,
     tail_strong_decomposition,
 )
 from .chromatic import (
@@ -54,7 +47,6 @@ from .chromatic import (
 )
 from .keys import (
     NegativeRecord,
-    demazure_operator,
     divided_difference,
     expand_in_keys,
     is_key_positive,
@@ -71,13 +63,10 @@ __version__ = "0.1.0"
 __all__ = [
     "WeakComposition",
     "Window",
-    "comp_of_subset",
     "dominates",
-    "subset_of_comp",
     "leq_slide",
     "refines",
     "slide_set",
-    "transpose",
     "DyckGraph",
     "PartialDyckPath",
     "count_paths",
@@ -86,7 +75,6 @@ __all__ = [
     "restriction_map",
     "scan_paths",
     "LabeledPoset",
-    "acyclic_orientations",
     "descent_composition",
     "descent_composition_by_labels",
     "graph_inversions",
@@ -94,14 +82,11 @@ __all__ = [
     "omega_labeling",
     "orientation_from_perm",
     "partition_generating_function",
-    "poset_descents",
-    "poset_of_orientation",
     "tightened_bounds",
     "tightened_bounds_by_labels",
     "expand_in_slides",
     "fundamental_qsym",
     "slide_polynomial",
-    "slide_polynomial_by_chains",
     "tail_strong_decomposition",
     "chromatic_brute",
     "chromatic_via_slides",
@@ -111,7 +96,6 @@ __all__ = [
     "verify_backstable",
     "verify_fundamental_expansion",
     "NegativeRecord",
-    "demazure_operator",
     "divided_difference",
     "expand_in_keys",
     "is_key_positive",

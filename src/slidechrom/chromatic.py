@@ -139,21 +139,20 @@ def _count(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> dict[int, int]:
     return layer.get((), {})
 
 
-def slide_expansion(
-    path: PartialDyckPath, lo: int | None = None
-) -> dict[WeakComposition, TCoeff]:
+def slide_expansion(path: PartialDyckPath) -> dict[WeakComposition, TCoeff]:
     """Slide expansion of the chromatic polynomial: each slide index
     mapped to the sum of t^(graph inversions of pi) over the permutations
-    pi whose descent composition it is.  With lo given, only the indices
-    whose blocks all sit at lo or above; its default, 1 - n, drops none."""
+    pi whose descent composition it is.  The DP runs from 1 - n, which
+    drops no index (_packed_dp)."""
     graph = dyck_graph(path)
-    lo = 1 - graph.n if lo is None else lo
+    lo = 1 - graph.n
     return _terms(_packed_dp(graph, restriction_map(path), lo), lo, graph.n)
 
 
 def _packed_dp(graph: DyckGraph, rho: tuple[int, ...], lo: int) -> dict[int, int]:
-    """slide_expansion on the graph with bounds rho, from lo, packed as
-    in _terms: {packed index: packed coefficient}.
+    """The slide expansion of the graph with bounds rho, only its indices
+    whose blocks all sit at lo or above, packed as in _terms from lo:
+    {packed index: packed coefficient}.
 
     A dynamic program over subsets (the transfer-matrix method) stands in
     for the loop over all n! permutations.  pi is built backwards from

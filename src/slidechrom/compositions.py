@@ -45,9 +45,6 @@ class Window(_WindowBase):
     def union(self, other: "Window") -> "Window":
         return Window(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def contains(self, i: int) -> bool:
-        return self.lo <= i <= self.hi
-
 
 def _canonical(entries: Iterable[int], lo: int) -> tuple[int, tuple[int, ...]]:
     ent = tuple(entries)
@@ -93,11 +90,6 @@ class WeakComposition:
         lo = min(d)
         hi = max(d)
         return cls([d.get(i, 0) for i in range(lo, hi + 1)], lo)
-
-    @classmethod
-    def from_values(cls, values: Iterable[int]) -> "WeakComposition":
-        """Exponent vector of the monomial x_{v1}x_{v2}... (color counts)."""
-        return cls.from_items((v, 1) for v in values)
 
     def __getitem__(self, i: int) -> int:
         j = i - self.lo
@@ -336,39 +328,6 @@ def slide_terms(x: int, bits: int) -> Iterator[tuple[int, int]]:
     on any wider window with the same low digit the slide set is the
     same, and the cost never follows the window's width."""
     return zip(packed_slides(x, -(-x.bit_length() // bits), bits), itertools.repeat(1))
-
-
-def comp_of_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
-    """Strong composition of n with partial sums given by the subset of [n-1]."""
-    s = sorted(set(subset))
-    if n == 0:
-        if s:
-            raise ValueError("nonempty subset with n = 0")
-        return ()
-    if s and (s[0] < 1 or s[-1] > n - 1):
-        raise ValueError(f"subset {s} not inside [1, {n - 1}]")
-    prev = 0
-    out = []
-    for c in s + [n]:
-        out.append(c - prev)
-        prev = c
-    return tuple(out)
-
-
-def subset_of_comp(alpha: tuple[int, ...]) -> tuple[int, ...]:
-    """Partial sums of alpha except the last (inverse of comp_of_subset)."""
-    out, s = [], 0
-    for p in alpha[:-1]:
-        s += p
-        out.append(s)
-    return tuple(out)
-
-
-def transpose(alpha: tuple[int, ...]) -> tuple[int, ...]:
-    """Composition with complementary partial-sum set inside [n-1]."""
-    n = sum(alpha)
-    chosen = set(subset_of_comp(alpha))
-    return comp_of_subset([i for i in range(1, n) if i not in chosen], n)
 
 
 def lex_key(a: WeakComposition, lo: int, hi: int) -> tuple[int, ...]:

@@ -62,12 +62,6 @@ def divided_difference(p: TPolynomial, i: int) -> TPolynomial:
     return TPolynomial(p.window, combine(p.terms, quotient))
 
 
-def demazure_operator(p: TPolynomial, i: int) -> TPolynomial:
-    """pi_i(p) = divided difference of x_i * p."""
-    xi = TPolynomial.monomial(WeakComposition.from_items([(i, 1)]), p.window)
-    return divided_difference(xi * p, i)
-
-
 def key_polynomial(a: WeakComposition, r: int) -> TPolynomial:
     """Demazure key polynomial for a composition supported in [1, r].
 

@@ -1,5 +1,9 @@
-"""Labeled posets, acyclic orientations, and the descent composition
-machinery that turns a linear order with color bounds into a slide index.
+"""Labeled posets, the orientation and labeling a permutation induces on
+a graph, and the descent composition machinery that turns a linear order
+with color bounds into a slide index.  The permutation route here is the
+oracle the subset DP is checked against; the graph's acyclic orientations,
+their posets and poset descents are second models that only the tests
+run, so they live in tests/oracles.py.
 
 Vertices are 1..n throughout.  A strict order is stored as a frozenset of
 pairs (a, b) meaning a < b in the poset, and an acyclic orientation as the
@@ -9,7 +13,6 @@ pi[k] = image of position k+1.
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from .compositions import WeakComposition, Window
@@ -126,19 +129,6 @@ def orientation_from_perm(graph: DyckGraph, pi: Sequence[int]) -> frozenset:
     )
 
 
-def acyclic_orientations(graph: DyckGraph) -> list[frozenset]:
-    """The distinct arc sets that the n! permutations induce, sorted.
-
-    Every acyclic orientation has a linear extension, so these are
-    exactly the acyclic orientations of the graph.
-    """
-    found = {
-        orientation_from_perm(graph, pi)
-        for pi in itertools.permutations(range(1, graph.n + 1))
-    }
-    return sorted(found, key=sorted)
-
-
 def omega_labeling(graph: DyckGraph, o: frozenset) -> tuple[int, ...]:
     """Label sources first, always the largest-numbered available vertex.
 
@@ -162,37 +152,10 @@ def omega_labeling(graph: DyckGraph, o: frozenset) -> tuple[int, ...]:
     return tuple(omega)
 
 
-def poset_of_orientation(
-    graph: DyckGraph, o: frozenset, rho: Sequence[int]
-) -> LabeledPoset:
-    """b < a for every arc a -> b, closed under transitivity with one
-    pass per middle vertex (Warshall), labeled by omega_labeling and
-    bounded by rho."""
-    n = graph.n
-    above: list[set[int]] = [set() for _ in range(n + 1)]  # above[x]: every y with x < y
-    for a, b in o:
-        above[b].add(a)
-    for k in range(1, n + 1):
-        for x in range(1, n + 1):
-            if k in above[x]:
-                above[x] |= above[k]
-    less = {(x, y) for x in range(1, n + 1) for y in above[x]}
-    return LabeledPoset(n, less, omega_labeling(graph, o), rho)
-
-
 def graph_inversions(graph: DyckGraph, pi: Sequence[int]) -> int:
     """Edges {i,j}, i<j, whose endpoints appear out of order in pi."""
     pos = {v: k for k, v in enumerate(pi)}
     return sum(1 for i, j in graph.edges if pos[i] > pos[j])
-
-
-def poset_descents(poset: LabeledPoset, pi: Sequence[int]) -> set[int]:
-    """Positions i (1-based) with pi(i+1) < pi(i) in the poset."""
-    return {
-        i + 1
-        for i in range(len(pi) - 1)
-        if poset.is_less(pi[i + 1], pi[i])
-    }
 
 
 def tightened_bounds(

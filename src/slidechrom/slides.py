@@ -19,46 +19,9 @@ from .tpoly import TCoeff, TPolynomial, expand
 @lru_cache(maxsize=4096)
 def slide_polynomial(a: WeakComposition, w: Window) -> TPolynomial:
     """Sum of x^b over the slide set of a inside the window (slide_set);
-    see slide_polynomial_by_chains for the independent model."""
+    tests/oracles.py holds the independent chain model."""
     # the members are distinct exponents inside w
     return TPolynomial._canonical(w, {b: {0: 1} for b in slide_set(a, w)})
-
-
-def slide_polynomial_by_chains(a: WeakComposition, w: Window) -> TPolynomial:
-    """Chain-model slide polynomial: one block per part of flatten(a),
-    the block's values capped by the index the part occupies, weakly
-    increasing inside blocks and strictly increasing across them.
-    """
-    parts = []
-    for idx, v in a.items():
-        parts.append((idx, v))
-    terms: dict[WeakComposition, TCoeff] = {}
-
-    def rec(block: int, taken: list[int], prev: int, strict: bool):
-        if block == len(parts):
-            e = WeakComposition.from_values(taken)
-            tc = terms.setdefault(e, {})
-            tc[0] = tc.get(0, 0) + 1
-            return
-        cap, size = parts[block]
-        cap = min(cap, w.hi)
-
-        def fill(k: int, lastv: int, first: bool):
-            if k == size:
-                rec(block + 1, taken, lastv, True)
-                return
-            lo = max(w.lo, lastv + 1 if (first and strict) else lastv)
-            if first and not taken:
-                lo = w.lo
-            for val in range(lo, cap + 1):
-                taken.append(val)
-                fill(k + 1, val, False)
-                taken.pop()
-
-        fill(0, prev, True)
-
-    rec(0, [], w.lo - 1, False)
-    return TPolynomial(w, terms)
 
 
 def expand_in_slides(p: TPolynomial, w: Window) -> dict[WeakComposition, TCoeff]:

@@ -97,7 +97,9 @@ class TPolynomial:
 
     terms: {WeakComposition: TCoeff}.  Canonical form stores no zero
     t-coefficients and no empty terms.  Equality compares terms only;
-    the window is bookkeeping for which variables are in play.
+    the window is bookkeeping for which variables are in play.  The
+    constructor refuses a negative t-degree, as t_from_json does, so
+    every polynomial it accepts dumps to a document loads reads back.
     """
 
     __slots__ = ("window", "terms")
@@ -105,6 +107,8 @@ class TPolynomial:
     def __init__(self, window: Window, terms: Mapping[WeakComposition, Mapping[int, int]]):
         clean: dict[WeakComposition, TCoeff] = {}
         for e, tc in terms.items():
+            if tc and min(tc) < 0:
+                raise ValueError(f"negative t-degree {min(tc)} at exponent {e}")
             tc = {d: c for d, c in tc.items() if c}
             if not tc:
                 continue
@@ -119,9 +123,12 @@ class TPolynomial:
     @classmethod
     def _canonical(cls, window: Window, terms: dict[WeakComposition, TCoeff]) -> "TPolynomial":
         """A polynomial that takes ownership of terms already in canonical
-        form: no zero t-entry, no empty t-coefficient and every exponent
-        inside window.  Nothing is checked or copied, so only producers
-        whose terms are canonical by construction may call it."""
+        form: no zero t-entry, no empty t-coefficient, no negative
+        t-degree and every exponent inside window.  Nothing is checked or
+        copied, so only producers whose terms are canonical by
+        construction may call it; none of them makes a negative degree
+        (the chromatic routes count inversions, slide_polynomial has t^0
+        alone and from_json_dict reads through t_from_json)."""
         self = object.__new__(cls)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "terms", terms)
@@ -137,12 +144,6 @@ class TPolynomial:
     @classmethod
     def one(cls, window: Window) -> "TPolynomial":
         return cls(window, {WeakComposition(): {0: 1}})
-
-    @classmethod
-    def monomial(
-        cls, e: WeakComposition, window: Window, tc: Mapping[int, int] | None = None
-    ) -> "TPolynomial":
-        return cls(window, {e: dict(tc) if tc is not None else {0: 1}})
 
     def is_zero(self) -> bool:
         return not self.terms

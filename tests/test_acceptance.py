@@ -10,6 +10,7 @@ import itertools
 import json
 import time
 
+from oracles import slide_polynomial_by_chains
 from slidechrom import (
     LabeledPoset,
     PartialDyckPath,
@@ -30,7 +31,6 @@ from slidechrom import (
     restriction_map,
     search_negative_records,
     slide_polynomial,
-    slide_polynomial_by_chains,
     slide_set,
     tail_strong_decomposition,
     tightened_bounds_by_labels,

@@ -2,13 +2,13 @@ import itertools
 import json
 import math
 
+from oracles import acyclic_orientations, from_values, poset_of_orientation
 from slidechrom import chromatic
 from slidechrom import (
     PartialDyckPath,
     TPolynomial,
     WeakComposition,
     Window,
-    acyclic_orientations,
     chromatic_brute,
     chromatic_via_slides,
     compare_chromatic,
@@ -16,7 +16,6 @@ from slidechrom import (
     enumerate_paths,
     fundamental_expansion,
     partition_generating_function,
-    poset_of_orientation,
     restriction_map,
     slide_expansion,
     slide_polynomial,
@@ -73,7 +72,7 @@ def test_sweep_checks_build_only_the_window_indices(monkeypatch):
     calls.clear()
     rep = compare_chromatic(p, Window(1, p.r))
     assert calls == [1]
-    low = 1 - p.n  # slide_expansion's default lo
+    low = 1 - p.n  # where slide_expansion runs the DP from
     assert rep.expansion == chromatic._terms(full(dyck_graph(p), restriction_map(p), low), low, p.n)
     assert calls == [1, low]
     assert rep.expansion is rep.expansion  # computed once
@@ -130,7 +129,7 @@ def _colorings_by_product(p, w):
         if any(f[i - 1] == f[j - 1] for i, j in g.edges):
             continue
         des = sum(1 for i, j in g.edges if f[i - 1] > f[j - 1])
-        tc = terms.setdefault(WeakComposition.from_values(f), {})
+        tc = terms.setdefault(from_values(f), {})
         tc[des] = tc.get(des, 0) + 1
     return terms
 

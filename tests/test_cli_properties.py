@@ -1,8 +1,8 @@
 """Property tests of the CLI's exit codes: every argv drawn from the
 parser's grammar, malformed path literals and polynomial files included,
 ends in exit code 0, 1 or 2 or in argparse's SystemExit(2), and every
-polynomial document given to slides, valid or malformed, in exit code 0
-or 2; never in any other exception."""
+polynomial document given to slides in exit code 0 or 2, a malformed one
+always in status error and exit code 2; never in any other exception."""
 
 import contextlib
 import io
@@ -143,16 +143,24 @@ T_LISTS = st.lists(
     min_size=1,
     max_size=3,
 )
-ODD_VALUES = st.sampled_from(
-    [None, True, 1.5, "1", "x", [], {}, [1], [1.0, 3], [True, 3], "1e3", " 1", -1, 2**70]
-)
+ODD_VALUES = [None, True, 1.5, "1", "x", [], {}, [1], [1.0, 3], [True, 3], "1e3", " 1", -1, 2**70]
+# the odd values that are valid in a slot: an empty terms or t list, an
+# int lo (an exponent with no nonzero entry fits any window) and an
+# entries list of ints
+VALID_IN = {"terms": [[]], "t": [[]], "lo": [-1, 2**70], "entries": [[], [1]]}
+
+
+def odd(slot):
+    """The odd values that are invalid in the given slot."""
+    return st.sampled_from([v for v in ODD_VALUES if v not in VALID_IN.get(slot, [])])
 
 
 @st.composite
 def polynomial_documents(draw):
-    """The text of a polynomial document: one that loads, or one with a
-    wrong type, a repeated exponent or t-degree, a negative t-degree, a
-    huge coefficient, an odd window or broken JSON in it."""
+    """The flaw drawn and the text of a polynomial document: flaw 0 may
+    load or not, and every other flaw puts in something no valid document
+    has: a wrong type, a repeated exponent or t-degree, a negative
+    t-degree, a huge coefficient, an odd window or broken JSON."""
     doc = {
         "window": [draw(WINDOW_ENDS), draw(WINDOW_ENDS)],
         "terms": draw(
@@ -173,16 +181,17 @@ def polynomial_documents(draw):
     # flaw 0, a document with no deliberate flaw, is drawn about half the time
     flaw = draw(st.one_of(st.just(0), st.integers(1, 11)))
     if flaw == 1:
-        doc[draw(st.sampled_from(["window", "terms"]))] = draw(ODD_VALUES)
+        key = draw(st.sampled_from(["window", "terms"]))
+        doc[key] = draw(odd(key))
     elif flaw == 2 and terms:
         i, key = draw(st.integers(0, len(terms) - 1)), draw(st.sampled_from([None, "exp", "t"]))
         if key is None:
-            terms[i] = draw(ODD_VALUES)
+            terms[i] = draw(odd(key))
         else:
-            terms[i][key] = draw(ODD_VALUES)
+            terms[i][key] = draw(odd(key))
     elif flaw == 3 and terms:
-        exp = draw(st.sampled_from(terms))["exp"]
-        exp[draw(st.sampled_from(["lo", "entries"]))] = draw(ODD_VALUES)
+        exp, key = draw(st.sampled_from(terms))["exp"], draw(st.sampled_from(["lo", "entries"]))
+        exp[key] = draw(odd(key))
     elif flaw == 4 and terms:
         # the same exponent again, maybe padded with zeros
         exp = draw(st.sampled_from(terms))["exp"]
@@ -198,7 +207,7 @@ def polynomial_documents(draw):
         t = draw(st.sampled_from(terms))["t"]
         t.append({"deg": 5, "coef": draw(st.sampled_from([HUGE_DIGITS, "-" + HUGE_DIGITS, "HUGE"]))})
     elif flaw == 7 and terms:
-        draw(st.sampled_from(terms))["t"].append(draw(ODD_VALUES))
+        draw(st.sampled_from(terms))["t"].append(draw(odd(None)))
     elif flaw == 8:
         doc = draw(st.sampled_from([[], "polynomial", 3, None, "HUGE"]))
     elif flaw == 11 and terms:
@@ -209,12 +218,13 @@ def polynomial_documents(draw):
         text = text[: draw(st.integers(0, len(text) - 1))]
     elif flaw == 10:
         text = text.replace("[", "{", 1)
-    return text
+    return flaw, text
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(text=polynomial_documents(), window=st.one_of(st.none(), st.tuples(SMALL, SMALL)))
-def test_every_polynomial_document_ends_in_ok_or_error(text, window):
+@given(document=polynomial_documents(), window=st.one_of(st.none(), st.tuples(SMALL, SMALL)))
+def test_every_polynomial_document_ends_in_ok_or_error(document, window):
+    flaw, text = document
     argv = ["--json", "slides", "-"]
     if window is not None:
         argv += ["--window", str(window[0]), str(window[1])]
@@ -226,4 +236,5 @@ def test_every_polynomial_document_ends_in_ok_or_error(text, window):
     ):
         code = main(argv)
     doc = json.loads(out.getvalue())
-    assert (doc["status"], code) in (("ok", 0), ("error", 2)), (text[:200], window)
+    allowed = (("ok", 0), ("error", 2)) if flaw == 0 else (("error", 2),)
+    assert (doc["status"], code) in allowed, (flaw, text[:200], window)

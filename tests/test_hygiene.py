@@ -1,8 +1,10 @@
 """Source hygiene of the package, checked with the standard library's ast
 module: no module of the package, its tests or its demos imports a name it
-never uses, every name in __all__ resolves, and every definition is
-referenced somewhere in the repository, and only the oracles are referenced
-from tests alone.  Importing the package and its CLI loads none of
+never uses, every name in __all__ resolves and has a use outside the
+tests, and every definition is referenced somewhere in the repository and
+used outside the tests; the models only tests run live in tests/oracles.py,
+which reaches none of the engine they are checked against, and each of
+them is imported by a test.  Importing the package and its CLI loads none of
 concurrent.futures, multiprocessing and pickle, and a sweep's fan-out
 on two workers loads neither of the first two; only that fan-out forks
 or counts cores, and the CLI keeps no module-level state.  The benchmark's
@@ -100,20 +102,6 @@ def test_every_definition_is_referenced():
     assert not unreferenced, f"definitions nothing references: {unreferenced}"
 
 
-# The reference models that tests compare the engine against.  Nothing in
-# src, demos or bench uses them; every other definition that only tests
-# use is dead code that its own test keeps alive.
-ORACLES = (
-    "Window.contains",
-    "transpose",
-    "demazure_operator",
-    "acyclic_orientations",
-    "poset_of_orientation",
-    "poset_descents",
-    "slide_polynomial_by_chains",
-)
-
-
 def _trace_targets(tree):
     # bench/tracer.py wraps functions it finds by strings such as
     # "TPolynomial.scaled", so each part of a dotted-name string is a use
@@ -123,23 +111,74 @@ def _trace_targets(tree):
                 yield from node.value.split(".")
 
 
-def test_test_only_definitions_are_oracles():
+def _uses_outside_tests():
     # an import is no use here, since the package root re-exports nearly
-    # every public name; a definition's uses of itself do not count either
+    # every public name, so __init__.py is left out; bench/tracer.py's
+    # strings count
     used = Counter()
     for top in ("src", "demos", "bench"):
         for path in (ROOT / top).rglob("*.py"):
+            if path == PACKAGE / "__init__.py":
+                continue
             tree = ast.parse(path.read_text(), filename=str(path))
             used.update(_uses(tree))
             if top == "bench":
                 used.update(_trace_targets(tree))
+    return used
+
+
+def test_test_only_definitions_are_oracles():
+    # a definition that only tests use is an oracle, and oracles live in
+    # tests/oracles.py; a definition's uses of itself do not count
+    used = _uses_outside_tests()
     test_only = sorted(
         name
         for path in PACKAGE.glob("*.py")
         for name, node in _definitions(ast.parse(path.read_text(), filename=str(path)))
         if used[node.name] == list(_uses(node)).count(node.name)
     )
-    assert test_only == sorted(ORACLES), f"definitions only tests use: {test_only}"
+    assert not test_only, f"definitions only tests use: {test_only}"
+
+
+def test_every_public_name_has_a_use_outside_the_tests():
+    # a name in __all__ that only tests use would ship an oracle again
+    used = _uses_outside_tests()
+    defined = {
+        node.name: node
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    test_only = sorted(
+        name for name in slidechrom.__all__
+        if used[name] == list(_uses(defined[name])).count(name)
+    )
+    assert not test_only, f"public names only tests use: {test_only}"
+
+
+def test_every_oracle_is_imported_by_a_test():
+    path = ROOT / "tests" / "oracles.py"
+    oracles = {
+        node.name
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    imported = set()
+    for test in (ROOT / "tests").glob("test_*.py"):
+        for node in ast.walk(ast.parse(test.read_text(), filename=str(test))):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                imported.update(alias.name for alias in node.names)
+    assert oracles <= imported, f"oracles no test imports: {sorted(oracles - imported)}"
+
+
+def test_oracles_stay_independent_of_the_engine():
+    # tests/oracles.py holds the second models the engine is checked
+    # against, so it may not reach the subset DP, the coloring count, the
+    # slide-set memo or the peels
+    path = ROOT / "tests" / "oracles.py"
+    names = set(_references(ast.parse(path.read_text(), filename=str(path))))
+    engine = {"_packed_dp", "_count", "packed_slides", "slide_set", "slide_terms", "peel", "expand", "_key_terms"}
+    assert not names & engine, f"oracles.py uses engine names: {sorted(names & engine)}"
 
 
 def test_poset_oracle_stays_independent_of_the_engine():

@@ -1,6 +1,7 @@
 """Property tests of the JSON loaders: polynomial documents and negative
-records round-trip through their text, and a document that repeats an
-exponent or a t-degree is refused, however the repeat is written."""
+records round-trip through their text, every polynomial the constructor
+accepts does too, and a document that repeats an exponent or a t-degree
+is refused, however the repeat is written."""
 
 import itertools
 import json
@@ -24,6 +25,8 @@ POOLS = {
 # small and big coefficients of either sign: big ones must survive as text
 COEFS = st.one_of(st.integers(-5, 5), st.integers(-(10**30), 10**30)).filter(bool)
 T_COEFFS = st.dictionaries(st.integers(0, 4), COEFS, min_size=1, max_size=3)
+# every exponent of the pools, so that some fall outside a drawn window
+EXPONENTS = sorted({e for pool in POOLS.values() for e in pool}, key=lambda e: (e.lo, e.entries))
 PATHS = [p.literal for n in range(4) for r in range(3) for p in enumerate_paths(n, r)]
 
 
@@ -56,6 +59,31 @@ def negative_records(draw):
 @PROPERTY
 @given(polynomials())
 def test_polynomial_text_round_trips(p):
+    text = p.dumps()
+    back = TPolynomial.loads(text)
+    assert back == p and back.window == p.window
+    assert back.dumps() == text
+
+
+
+@PROPERTY
+@given(
+    st.sampled_from(WINDOWS),
+    st.dictionaries(
+        st.sampled_from(EXPONENTS),
+        st.dictionaries(st.integers(-2, 4), st.one_of(st.just(0), COEFS), max_size=3),
+        max_size=4,
+    ),
+)
+def test_every_polynomial_the_constructor_accepts_round_trips(w, terms):
+    try:
+        p = TPolynomial(w, terms)
+    except ValueError:
+        # only a negative t-degree or a nonzero term outside w is refused
+        assert any(tc and min(tc) < 0 for tc in terms.values()) or any(
+            any(tc.values()) and not e.supported_in(w) for e, tc in terms.items()
+        ), (w, terms)
+        return
     text = p.dumps()
     back = TPolynomial.loads(text)
     assert back == p and back.window == p.window

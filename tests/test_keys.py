@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import demazure_operator, monomial
 from slidechrom import (
     NegativeRecord,
     PartialDyckPath,
@@ -13,8 +14,8 @@ from slidechrom import (
     WeakComposition,
     Window,
     chromatic_brute,
-    demazure_operator,
     divided_difference,
+    dyck_graph,
     expand_in_keys,
     expand_in_slides,
     is_key_positive,
@@ -22,12 +23,13 @@ from slidechrom import (
     key_polynomial,
     load_negative_fixtures,
     negative_records,
+    restriction_map,
     scan_paths,
     search_negative_records,
     slide_polynomial,
 )
 from slidechrom import chromatic, keys
-from slidechrom.chromatic import slide_expansion
+from slidechrom.chromatic import _packed_dp, _terms
 from slidechrom.compositions import digit_bits, pack, unpack
 from slidechrom.tpoly import ExpansionError, combine
 
@@ -37,7 +39,7 @@ def wc(entries, lo=1):
 
 
 def x(i, w):
-    return TPolynomial.monomial(wc([1], lo=i), w)
+    return monomial(wc([1], lo=i), w)
 
 
 # ------------------------------------------------------ divided differences
@@ -68,7 +70,7 @@ def test_demazure_idempotent():
             e = WeakComposition(
                 tuple(rng.randint(0, 2) for _ in range(3)), 1
             )
-            p = p + TPolynomial.monomial(e, w, {0: rng.randint(1, 3)})
+            p = p + monomial(e, w, {0: rng.randint(1, 3)})
         for i in (1, 2):
             q = demazure_operator(p, i)
             assert demazure_operator(q, i) == q
@@ -81,7 +83,7 @@ def test_demazure_braid():
         p = TPolynomial.zero(w)
         for _ in range(rng.randint(1, 3)):
             e = WeakComposition(tuple(rng.randint(0, 2) for _ in range(3)), 1)
-            p = p + TPolynomial.monomial(e, w)
+            p = p + monomial(e, w)
         lhs = demazure_operator(demazure_operator(demazure_operator(p, 1), 2), 1)
         rhs = demazure_operator(demazure_operator(demazure_operator(p, 2), 1), 2)
         assert lhs == rhs
@@ -103,7 +105,7 @@ def test_key_polynomials_small():
 def test_key_of_weakly_decreasing_is_monomial():
     # anti-dominant? dominant (weakly decreasing) compositions give monomials
     w = Window(1, 3)
-    assert key_polynomial(wc([3, 1, 0]), 3) == TPolynomial.monomial(
+    assert key_polynomial(wc([3, 1, 0]), 3) == monomial(
         wc([3, 1, 0]), w
     )
 
@@ -119,7 +121,7 @@ def _key_by_demazure(entries, w):
     # oracle: unswap the largest ascent (the library takes the smallest)
     ascents = [i for i in range(len(entries) - 1) if entries[i] < entries[i + 1]]
     if not ascents:
-        return TPolynomial.monomial(wc(entries), w)
+        return monomial(wc(entries), w)
     i = ascents[-1]
     swapped = entries[:i] + (entries[i + 1], entries[i]) + entries[i + 2 :]
     return demazure_operator(_key_by_demazure(swapped, w), i + 1)
@@ -264,7 +266,9 @@ def test_key_expansion_matches_slide_to_key_rows():
     paths = list(scan_paths(5, 5)) + list(scan_paths(6, 6))[::7]
     cache: dict = {}
     for p in paths:
-        want = combine(slide_expansion(p, lo=1), slide_to_key)
+        # the DP run from 1: the slide indices that survive on [1, r]
+        dp = _terms(_packed_dp(dyck_graph(p), restriction_map(p), 1), 1, p.n)
+        want = combine(dp, slide_to_key)
         assert key_expansion_of_chromatic(p, cache) == want, p.literal
     assert len(paths) == 3682 + 3342
 
@@ -321,7 +325,7 @@ def test_weights_past_eight_bits_pack_wider():
     assert keys._key_slide_row(pack((0, 256), 9), 9) == ((pack((0, 256), 9), 1),)
     # x1 x2^(k-1) = kappa(1, k-1) - kappa(2, k-2) - kappa(k-1, 1)
     for k in (255, 256):
-        assert expand_in_keys(TPolynomial.monomial(wc([1, k - 1]), w), 2) == {
+        assert expand_in_keys(monomial(wc([1, k - 1]), w), 2) == {
             wc([1, k - 1]): {0: 1}, wc([2, k - 2]): {0: -1}, wc([k - 1, 1]): {0: -1}
         }
     # every rho(i) is 0, so the subset DP returns before building a table

@@ -3,13 +3,13 @@ from collections import Counter
 
 import pytest
 
+from oracles import acyclic_orientations, from_values, poset_descents, poset_of_orientation
 from slidechrom import (
     LabeledPoset,
     PartialDyckPath,
     TPolynomial,
     WeakComposition,
     Window,
-    acyclic_orientations,
     descent_composition,
     descent_composition_by_labels,
     dyck_graph,
@@ -19,8 +19,6 @@ from slidechrom import (
     omega_labeling,
     orientation_from_perm,
     partition_generating_function,
-    poset_descents,
-    poset_of_orientation,
     restriction_map,
     slide_polynomial,
     tightened_bounds,
@@ -230,7 +228,7 @@ def _partition_gf_by_covers(P, w):
             for a, b in covers
         ):
             continue
-        found[WeakComposition.from_values(f)] += 1
+        found[from_values(f)] += 1
     return TPolynomial(w, {e: {0: m} for e, m in found.items()})
 
 

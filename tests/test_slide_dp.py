@@ -6,12 +6,12 @@ import itertools
 import math
 import random
 
+from oracles import comp_of_subset, poset_descents, transpose
 from slidechrom import (
     PartialDyckPath,
     WeakComposition,
     Window,
     chromatic_brute,
-    comp_of_subset,
     descent_composition,
     dyck_graph,
     enumerate_paths,
@@ -19,10 +19,8 @@ from slidechrom import (
     fundamental_expansion,
     graph_inversions,
     incomparability_poset,
-    poset_descents,
     restriction_map,
     slide_expansion,
-    transpose,
 )
 from slidechrom.chromatic import _dp_tables, _packed_dp, _t_slot, _t_unpack, _terms
 from slidechrom.compositions import digit_bits
@@ -98,6 +96,12 @@ def flattened(expansion):
     return flat
 
 
+def pruned_expansion(p, lo):
+    # slide_expansion(p) with the DP run from lo: only the indices whose
+    # blocks all sit at lo or above
+    return _terms(_packed_dp(dyck_graph(p), restriction_map(p), lo), lo, p.n)
+
+
 def part_from(expansion, lo):
     # the indices with no block below lo; the empty index has no block
     return {a: tc for a, tc in expansion.items() if a.weight() == 0 or a.lo >= lo}
@@ -114,9 +118,9 @@ def test_small_paths_match_permutation_sum(permutation_rows):
         for _, rd, inv in permutation_rows(p):
             _bump(summed, rd, inv)
         assert full == summed, p.literal
-        assert slide_expansion(p, lo=1) == positive_part(full), p.literal
+        assert pruned_expansion(p, 1) == positive_part(full), p.literal
         for lo in (-1, 0, 2):
-            assert slide_expansion(p, lo=lo) == part_from(full, lo), (p.literal, lo)
+            assert pruned_expansion(p, lo) == part_from(full, lo), (p.literal, lo)
         # the packed core: each index packed from lo, digit_bits(n) bits
         # per entry, as compositions.pack lays it out
         graph, rho, bits, slot = dyck_graph(p), restriction_map(p), digit_bits(p.n), _t_slot(p.n)
@@ -162,7 +166,7 @@ def test_six_vertex_sample_matches_permutation_sum():
     for p in SIX:
         full = slide_expansion(p)
         assert full == permutation_sum(p), p.literal
-        assert slide_expansion(p, lo=1) == positive_part(full), p.literal
+        assert pruned_expansion(p, 1) == positive_part(full), p.literal
         # the rho = 0 DP is the flattened slide expansion
         assert fundamental_expansion(p) == flattened(full), p.literal
 
@@ -171,7 +175,7 @@ def test_seven_vertex_paths_match_permutation_sum():
     for p in SEVEN:
         full = slide_expansion(p)
         assert full == permutation_sum(p), p.literal
-        assert slide_expansion(p, lo=1) == positive_part(full), p.literal
+        assert pruned_expansion(p, 1) == positive_part(full), p.literal
         assert fundamental_expansion(p) == flattened(full), p.literal
     assert min(a.lo for p in SEVEN for a in slide_expansion(p)) == -6
 
@@ -199,8 +203,8 @@ def test_eight_vertex_complete_graph_is_one_mahonian_index():
                 step[d + j] = step.get(d + j, 0) + c
         mahonian = step
     assert slide_expansion(p) == {WeakComposition([1] * 8, -7): mahonian}
-    assert slide_expansion(p, lo=-7) == slide_expansion(p)
-    assert slide_expansion(p, lo=-6) == {}
+    assert pruned_expansion(p, -7) == slide_expansion(p)
+    assert pruned_expansion(p, -6) == {}
 
 
 def test_eight_vertex_sample():
@@ -217,8 +221,8 @@ def test_eight_vertex_sample():
         assert low >= -7, p.literal
         # the prune compares raw bounds with lo, so it agrees with the
         # decoded indices only if the lowest one decodes correctly
-        assert slide_expansion(p, lo=low) == full, p.literal
-        assert slide_expansion(p, lo=low + 1) == {a: tc for a, tc in full.items() if a.lo > low}, p.literal
+        assert pruned_expansion(p, low) == full, p.literal
+        assert pruned_expansion(p, low + 1) == {a: tc for a, tc in full.items() if a.lo > low}, p.literal
         lows.add(low)
     assert min(lows) == -7 and max(lows) >= -2
 
@@ -233,7 +237,7 @@ def test_slide_peel_matches_dp_on_extended_windows():
         for m in (0, 1, 2):
             w = Window(1 - m, p.r)
             got = expand_in_slides(chromatic_brute(p, w), w)
-            assert got == slide_expansion(p, lo=1 - m), (p.literal, m)
+            assert got == pruned_expansion(p, 1 - m), (p.literal, m)
             cases += 1
     assert cases == 2478
 

@@ -3,15 +3,14 @@ import random
 
 import pytest
 
+from oracles import comp_of_subset, slide_polynomial_by_chains
 from slidechrom import (
     TPolynomial,
     WeakComposition,
     Window,
-    comp_of_subset,
     expand_in_slides,
     fundamental_qsym,
     slide_polynomial,
-    slide_polynomial_by_chains,
     tail_strong_decomposition,
 )
 from slidechrom import slides

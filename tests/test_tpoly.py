@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import monomial
 from slidechrom import TPolynomial, WeakComposition, Window
 from slidechrom.compositions import pack
 from slidechrom.tpoly import (
@@ -23,7 +24,7 @@ def rand_poly(rng, w=Window(-1, 2), terms=3, weight=4):
             comp[rng.randrange(len(comp))] += 1
         e = WeakComposition(tuple(comp), w.lo)
         tc = {rng.randint(0, 3): rng.choice([-2, -1, 1, 2, 3])}
-        p = p + TPolynomial.monomial(e, w, tc)
+        p = p + monomial(e, w, tc)
     return p
 
 
@@ -33,9 +34,9 @@ def rand_poly(rng, w=Window(-1, 2), terms=3, weight=4):
 def test_t_helpers():
     x1 = WeakComposition((1,), 1)
     w = Window(1, 1)
-    a = TPolynomial.monomial(x1, w, {0: 1, 2: 3})
-    assert (a + TPolynomial.monomial(x1, w, {2: -3, 1: 1})).terms == {x1: {0: 1, 1: 1}}
-    assert TPolynomial.monomial(x1, w, {0: 1, 1: 1}).scaled({0: 1, 1: 1}).terms == {
+    a = monomial(x1, w, {0: 1, 2: 3})
+    assert (a + monomial(x1, w, {2: -3, 1: 1})).terms == {x1: {0: 1, 1: 1}}
+    assert monomial(x1, w, {0: 1, 1: 1}).scaled({0: 1, 1: 1}).terms == {
         x1: {0: 1, 1: 2, 2: 1}
     }
     assert t_is_nonnegative({0: 1, 4: 2})
@@ -52,7 +53,7 @@ def test_zero_one_monomial():
     w = Window(1, 3)
     z = TPolynomial.zero(w)
     one = TPolynomial.one(w)
-    x2 = TPolynomial.monomial(WeakComposition((1,), 2), w, {0: 1})
+    x2 = monomial(WeakComposition((1,), 2), w, {0: 1})
     assert z + x2 == x2
     assert one * x2 == x2
     assert x2 - x2 == z
@@ -62,7 +63,7 @@ def test_zero_one_monomial():
 def test_window_containment_enforced():
     w = Window(1, 2)
     with pytest.raises(ValueError):
-        TPolynomial.monomial(WeakComposition((1,), 3), w, {0: 1})
+        monomial(WeakComposition((1,), 3), w, {0: 1})
 
 
 def test_ring_axioms_random():
@@ -80,20 +81,20 @@ def test_ring_axioms_random():
 
 
 def test_window_union_on_add():
-    p = TPolynomial.monomial(WeakComposition((1,), -1), Window(-1, 0))
-    q = TPolynomial.monomial(WeakComposition((1,), 2), Window(1, 2))
+    p = monomial(WeakComposition((1,), -1), Window(-1, 0))
+    q = monomial(WeakComposition((1,), 2), Window(1, 2))
     assert (p + q).window == Window(-1, 2)
 
 
 def test_scale_t():
     w = Window(1, 2)
-    p = TPolynomial.monomial(WeakComposition((1,), 1), w, {0: 1, 1: 2})
+    p = monomial(WeakComposition((1,), 1), w, {0: 1, 1: 2})
     assert p.scaled({3: 1}).terms[WeakComposition((1,), 1)] == {3: 1, 4: 2}
 
 
 def test_shifted():
     w = Window(1, 3)
-    p = TPolynomial.monomial(WeakComposition((1, 2), 1), w)
+    p = monomial(WeakComposition((1, 2), 1), w)
     q = p.shifted(-3)
     assert q.window == Window(-2, 0)
     assert WeakComposition((1, 2), -2) in q.terms
@@ -102,15 +103,15 @@ def test_shifted():
 
 def test_evaluate_all_ones():
     w = Window(1, 2)
-    p = TPolynomial.monomial(WeakComposition((1, 1), 1), w, {0: 1, 1: 1}) + (
-        TPolynomial.monomial(WeakComposition((2,), 1), w, {1: 1})
+    p = monomial(WeakComposition((1, 1), 1), w, {0: 1, 1: 1}) + (
+        monomial(WeakComposition((2,), 1), w, {1: 1})
     )
     assert p.evaluate_all_ones() == {0: 1, 1: 2}
 
 
 def test_equality_ignores_window():
-    a = TPolynomial.monomial(WeakComposition((1,), 1), Window(1, 1))
-    b = TPolynomial.monomial(WeakComposition((1,), 1), Window(-2, 4))
+    a = monomial(WeakComposition((1,), 1), Window(1, 1))
+    b = monomial(WeakComposition((1,), 1), Window(-2, 4))
     assert a == b
 
 
@@ -124,7 +125,7 @@ def test_hash_refuses():
 
 def test_str_variables():
     w = Window(-1, 2)
-    p = TPolynomial.monomial(WeakComposition((1, 0, 0, 2), -1), w, {1: 1})
+    p = monomial(WeakComposition((1, 0, 0, 2), -1), w, {1: 1})
     s = str(p)
     assert "x(-1)" in s and "x2^2" in s
 
@@ -142,7 +143,7 @@ def test_json_deterministic():
     # same logical content in a different build order serializes identically
     q = TPolynomial.zero(p.window)
     for e in sorted(p.terms, key=lambda e: (-e.lo, e.entries)):
-        q = q + TPolynomial.monomial(e, p.window, p.terms[e])
+        q = q + monomial(e, p.window, p.terms[e])
     assert p.dumps() == q.dumps()
     assert json.loads(p.dumps())  # valid JSON
 
@@ -150,7 +151,7 @@ def test_json_deterministic():
 def test_big_integer_coefficients():
     w = Window(1, 1)
     big = 10**40
-    p = TPolynomial.monomial(WeakComposition((1,), 1), w, {0: big})
+    p = monomial(WeakComposition((1,), 1), w, {0: big})
     q = p * p
     assert q.terms[WeakComposition((2,), 1)] == {0: big * big}
     assert TPolynomial.loads(q.dumps()) == q
@@ -225,6 +226,16 @@ def test_t_from_json_rejects_negative_degrees(coef):
     doc = {"window": [1, 1], "terms": [{**_X1, "t": [{"deg": -1, "coef": coef}]}]}
     with pytest.raises(ValueError, match="negative t-degree -1"):
         TPolynomial.from_json_dict(doc)
+
+
+
+def test_constructor_rejects_negative_degrees():
+    # dumps would write "deg":-1, a document loads refuses
+    with pytest.raises(ValueError, match="negative t-degree -1"):
+        TPolynomial(Window(1, 1), {WeakComposition((1,)): {-1: 1}}).dumps()
+    # as in t_from_json, a zero entry is no exception
+    with pytest.raises(ValueError, match="negative t-degree -2 at exponent 1"):
+        TPolynomial(Window(1, 1), {WeakComposition((1,)): {0: 1, -2: 0}})
 
 
 def test_from_json_reads_int_and_decimal_coefficients():

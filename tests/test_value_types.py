@@ -7,6 +7,7 @@ assignment and hashing alike."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import from_values
 from slidechrom import DyckGraph, PartialDyckPath, TPolynomial, WeakComposition, Window, dyck_graph, enumerate_paths
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -33,7 +34,7 @@ def test_weak_composition_is_an_immutable_key(entries, lo, before, after, name):
     a = WeakComposition(entries, lo)
     padded = WeakComposition([0] * before + entries + [0] * after, lo - before)
     items = WeakComposition.from_items((lo + j, v) for j, v in enumerate(entries))
-    values = WeakComposition.from_values(lo + j for j, v in enumerate(entries) for _ in range(v))
+    values = from_values(lo + j for j, v in enumerate(entries) for _ in range(v))
     for b in (padded, items, values):
         _assert_same_key(a, b)
     with pytest.raises(AttributeError):
