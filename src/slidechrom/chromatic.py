@@ -7,7 +7,10 @@ coloring (_brute), which chromatic_brute reads and the tests check the
 count against.  Each route is a private core over (graph, rho) behind a
 public function of the path; the cores work on packed ints and are
 compared as {int: int} dicts in one layout (_routes), and one converter
-(_terms) turns them into WeakComposition terms at the public boundary.
+(_terms) turns them into WeakComposition terms at the public boundary,
+one memoized object per exponent (_exponent).  What a route reads of a
+graph alone is memoized per graph: the count's per-vertex steps
+(_count_steps) and the DP's tables (_dp_tables).
 Only the single-path commands build a ChromaticReport; sweeps read only
 a verdict and decide it on the packed dicts (chromatic_verdict).  The
 report is not lazy: the benchmark replaces its via_slides and dumps both
@@ -86,21 +89,57 @@ def _count(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> dict[int, int]:
     colors of the active vertices, the earlier ones that still have a
     later neighbour, and holds {packed x: packed t-coefficient} summed
     over the colorings that reach it; colorings that agree on the active
-    vertices merge.  In a Dyck graph the smaller neighbours of j are an
-    interval ending at j - 1 and each vertex's last neighbour does not
-    decrease with the vertex, so the active vertices are an interval
-    ending at j - 1 and j's smaller neighbours are a suffix of the
-    tuple; both facts are checked per graph.  Coloring j with c, allowed
-    up to min(rho(j), w.hi) when no smaller neighbour has it, adds c's
-    unit to x and shifts the coefficient by slot times the smaller
-    neighbours colored above c, and the state drops the vertices with no
-    neighbour after j.
+    vertices merge.  The active vertices are an interval ending at j - 1
+    and j's smaller neighbours are a suffix of the tuple (_count_steps,
+    which checks both facts once per graph).  A vertex whose bound
+    rho(j) lies below w.lo has no color, so then nothing is counted.
+    Coloring j with c, allowed up to min(rho(j), w.hi) when no smaller
+    neighbour has it, adds c's unit to x and shifts the coefficient by
+    slot times the smaller neighbours colored above c, and the state
+    drops the vertices with no neighbour after j.
     """
+    steps = _count_steps(graph)
+    if min(rho, default=w.lo) < w.lo:
+        return {}
+    bits, slot = digit_bits(graph.n), _t_slot(graph.n)
+    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for (k, drop), cap in zip(steps, rho):
+        units = [(c, 1 << bits * (c - w.lo)) for c in range(w.lo, min(cap, w.hi) + 1)]
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for state, xs in layer.items():
+            # colors ascend, so above counts the smaller neighbours' colors above c
+            used = state[len(state) - k:]
+            above = k
+            for c, unit in units:
+                if c in used:
+                    above -= used.count(c)
+                    continue
+                key = (state + (c,))[drop:]
+                shift = slot * above
+                into = nxt.get(key)
+                if into is None:
+                    nxt[key] = {x + unit: tc << shift for x, tc in xs.items()}
+                    continue
+                get = into.get
+                for x, tc in xs.items():
+                    x += unit
+                    into[x] = get(x, 0) + (tc << shift)
+        layer = nxt
+    return layer.get((), {})
+
+
+@lru_cache(maxsize=4096)
+def _count_steps(graph: DyckGraph) -> tuple[tuple[int, int], ...]:
+    """What _count reads of the graph: for each vertex j = 1..n, how many
+    smaller neighbours it has and how many vertices have their last
+    neighbour at j, which leave the state once j is colored.
+
+    In a Dyck graph the smaller neighbours of j are an interval ending at
+    j - 1 and each vertex's last neighbour does not decrease with the
+    vertex; both facts are checked here, once per graph."""
     n = graph.n
-    bits, slot = digit_bits(n), _t_slot(n)
     # vertex j: how many smaller neighbours it has, the least of them (j
-    # if none), its last neighbour (j if none), and how many vertices have
-    # their last neighbour at j, which leave the state once j is colored
+    # if none), and its last neighbour (j if none)
     lower, ends = [0] * (n + 1), [0] * (n + 1)
     least, last = list(range(n + 1)), list(range(n + 1))
     for i, j in graph.edges:
@@ -115,28 +154,7 @@ def _count(graph: DyckGraph, rho: tuple[int, ...], w: Window) -> dict[int, int]:
         if last[j] < last[j - 1]:
             raise RuntimeError(f"last neighbour of {j} is below that of {j - 1}")
         ends[last[j]] += 1
-    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for j in range(1, n + 1):
-        k, drop = lower[j], ends[j]
-        units = [(c, 1 << bits * (c - w.lo)) for c in range(w.lo, min(rho[j - 1], w.hi) + 1)]
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for state, xs in layer.items():
-            # colors ascend, so above counts the smaller neighbours' colors above c
-            used = state[len(state) - k:]
-            above = k
-            for c, unit in units:
-                if c in used:
-                    above -= used.count(c)
-                    continue
-                key = (state + (c,))[drop:]
-                shift = slot * above
-                into = nxt.setdefault(key, {})
-                get = into.get
-                for x, tc in xs.items():
-                    x += unit
-                    into[x] = get(x, 0) + (tc << shift)
-        layer = nxt
-    return layer.get((), {})
+    return tuple(zip(lower[1:], ends[1:]))
 
 
 def slide_expansion(path: PartialDyckPath) -> dict[WeakComposition, TCoeff]:
@@ -281,7 +299,16 @@ def _terms(packed: dict[int, int], lo: int, n: int) -> dict[WeakComposition, TCo
     (compositions.pack), coefficients as in _t_slot.  Every chromatic
     route packs its result this way."""
     bits, slot = digit_bits(n), _t_slot(n)
-    return {WeakComposition(unpack(x, bits), lo): _t_unpack(tc, slot) for x, tc in packed.items()}
+    return {_exponent(x, bits, lo): _t_unpack(tc, slot) for x, tc in packed.items()}
+
+
+@lru_cache(maxsize=8192)
+def _exponent(x: int, bits: int, lo: int) -> WeakComposition:
+    """The WeakComposition of packed exponent x: one immutable object per
+    exponent, shared by every report that names it: the 5,346 terms
+    that the reports of one 100-path window-verify list convert name
+    246 exponents."""
+    return WeakComposition(unpack(x, bits), lo)
 
 
 def _polynomial(packed: dict[int, int], w: Window, n: int) -> TPolynomial:
@@ -410,8 +437,9 @@ def _moves(n: int) -> list[tuple[tuple[int, int, int], ...]]:
 
 
 # A scan of P(n, r) meets at most Catalan(n) graphs and n = 1..8 have
-# 2,055 between them, so neither per-graph cache below fills.  A
-# _dp_tables entry holds 2^n * n bytes: about 3 MB for every n = 8 graph.
+# 2,055 between them, so no per-graph cache here (_count_steps,
+# _dp_tables, _verdict) fills.  A _dp_tables entry holds 2^n * n bytes:
+# about 3 MB for every n = 8 graph.
 @lru_cache(maxsize=4096)
 def _dp_tables(graph: DyckGraph) -> tuple[tuple[int, ...], tuple[int, ...], bytes]:
     """What _packed_dp reads of the graph, vertex v + 1 as bit v:

@@ -4,7 +4,9 @@ and per-vertex color bounds.
 A path in P(n, r) runs from (0, r) to (n+r, n+r) by unit N and E steps,
 staying weakly above y = x.  Vertices of the derived graph are 1..n.
 Edge and bound tests reduce to the heights of the east steps: the k-th
-east step sits at height r + (number of N steps before it).
+east step sits at height r + (number of N steps before it).  The graph
+depends only on the path's shape, n and each vertex's last neighbour,
+so a scan builds and validates one graph per shape (dyck_graph).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from functools import lru_cache
 from operator import index
 from typing import Iterator
 
@@ -142,16 +145,24 @@ class DyckGraph:
 
 def dyck_graph(path: PartialDyckPath) -> DyckGraph:
     """Edge {i,j} (i<j) iff the unit square in column i+r, row j+r lies
-    below the path, i.e. east step i+r has height >= j+r."""
+    below the path, i.e. east step i+r has height >= j+r.
+
+    So i's neighbours above it are i+1..last(i), with last(i) the least
+    of n and that height less r (i itself if it has none), and the graph
+    depends on n and those last neighbours alone: the path's shape.
+    Paths of one shape share one validated graph from _shape_graph."""
     n, r = path.n, path.r
     h = path.east_heights()
-    edges = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if h[i + r - 1] >= j + r
-    ]
-    return DyckGraph(n, edges)
+    return _shape_graph(n, tuple(max(i, min(n, h[i + r - 1] - r)) for i in range(1, n + 1)))
+
+
+# A scan of P(n, r) meets at most Catalan(n) shapes, and n = 0..8 have
+# 2,056 between them, so a scan never fills this memo.
+@lru_cache(maxsize=4096)
+def _shape_graph(n: int, last: tuple[int, ...]) -> DyckGraph:
+    """The graph on 1..n in which vertex i's neighbours above it are
+    i+1..last[i-1]."""
+    return DyckGraph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, last[i - 1] + 1)])
 
 
 def restriction_map(path: PartialDyckPath) -> tuple[int, ...]:

@@ -98,8 +98,10 @@ class TPolynomial:
     terms: {WeakComposition: TCoeff}.  Canonical form stores no zero
     t-coefficients and no empty terms.  Equality compares terms only;
     the window is bookkeeping for which variables are in play.  The
-    constructor refuses a negative t-degree, as t_from_json does, so
-    every polynomial it accepts dumps to a document loads reads back.
+    constructor refuses a t-degree or coefficient that is not an int
+    (bools and floats included) and a negative t-degree, as t_from_json
+    does, so every polynomial it accepts dumps to a document loads reads
+    back.
     """
 
     __slots__ = ("window", "terms")
@@ -107,8 +109,12 @@ class TPolynomial:
     def __init__(self, window: Window, terms: Mapping[WeakComposition, Mapping[int, int]]):
         clean: dict[WeakComposition, TCoeff] = {}
         for e, tc in terms.items():
-            if tc and min(tc) < 0:
-                raise ValueError(f"negative t-degree {min(tc)} at exponent {e}")
+            for d, c in tc.items():
+                # bool is an int subclass; t_from_json reads neither it nor a float
+                if type(d) is not int or type(c) is not int:
+                    raise ValueError(f"t-degree and coefficient must be ints, got {d!r}: {c!r} at exponent {e}")
+                if d < 0:
+                    raise ValueError(f"negative t-degree {d} at exponent {e}")
             tc = {d: c for d, c in tc.items() if c}
             if not tc:
                 continue

@@ -6,6 +6,7 @@ import pytest
 from slidechrom import (
     chromatic,
     descent_composition,
+    dyck,
     dyck_graph,
     graph_inversions,
     incomparability_poset,
@@ -15,11 +16,15 @@ from slidechrom import (
 
 @pytest.fixture
 def cold_graph_memos():
-    """Empty chromatic.py's per-graph memos (the verdicts and the subset
-    DP's tables), so a test that checks a theorem per path computes every
-    graph itself, whatever ran before."""
+    """Empty the per-shape and per-graph memos of dyck.py and chromatic.py
+    (the graphs, the verdicts, the subset DP's and the count's tables)
+    and the report's exponents, so a test that checks a theorem per path
+    computes every graph itself, whatever ran before."""
+    dyck._shape_graph.cache_clear()
     chromatic._verdict.cache_clear()
     chromatic._dp_tables.cache_clear()
+    chromatic._count_steps.cache_clear()
+    chromatic._exponent.cache_clear()
 
 
 @functools.cache

@@ -23,7 +23,7 @@ from slidechrom import (
     verify_fundamental_expansion,
 )
 from slidechrom.chromatic import chromatic_verdict
-from slidechrom.compositions import digit_bits
+from slidechrom.compositions import digit_bits, unpack
 from slidechrom.cli import _sweep_one, main
 
 THREE = PartialDyckPath.parse("ENEENENEE@3,3")
@@ -373,3 +373,22 @@ def test_empty_path_window_and_m():
                 rep = verify_backstable(p, 0)
                 assert rep.window == Window(1, r) and rep.ok, p.literal
                 assert rep.brute == compare_chromatic(p, Window(1, r)).brute, p.literal
+
+
+def test_report_exponents_are_the_unpacked_ints(cold_graph_memos):
+    # _terms takes each exponent from a memo on (x, bits, lo); on the
+    # backstable windows [1 - m, r] every key is still the unpacked int,
+    # with its coefficient, and an exponent met twice is one object
+    for n in range(1, 5):
+        bits, slot = digit_bits(n), chromatic._t_slot(n)
+        for r in range(4):
+            for p in enumerate_paths(n, r):
+                graph, rho = dyck_graph(p), restriction_map(p)
+                for m in (1, 2):
+                    w = Window(1 - m, r)
+                    for packed in (chromatic._count(graph, rho, w), chromatic._packed_dp(graph, rho, w.lo)):
+                        terms = chromatic._terms(packed, w.lo, n)
+                        assert list(terms) == [WeakComposition(unpack(x, bits), w.lo) for x in packed]
+                        assert list(terms.values()) == [chromatic._t_unpack(tc, slot) for tc in packed.values()]
+                        again = chromatic._terms(packed, w.lo, n)
+                        assert all(a is b for a, b in zip(terms, again)), p.literal

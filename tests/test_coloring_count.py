@@ -2,7 +2,7 @@
 (chromatic._count) against the brute force that visits every coloring
 (chromatic._brute), which stays behind chromatic_brute as its oracle."""
 
-from types import SimpleNamespace
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from slidechrom import PartialDyckPath, Window, dyck_graph, enumerate_paths, restriction_map
 from slidechrom.chromatic import _brute, _count
 
+StandIn = namedtuple("StandIn", "n edges")
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -84,7 +85,33 @@ def test_count_matches_brute_force_on_random_windows(p, lo, width, zero_rho):
     ({(1, 4), (2, 3), (3, 4)}, "last neighbour of 2"),
 ])
 def test_count_refuses_graphs_outside_its_interval_facts(edges, msg):
-    # a DyckGraph cannot fail either fact, so these are plain stand-ins
-    graph = SimpleNamespace(n=4, edges=frozenset(edges))
+    # a DyckGraph cannot fail either fact, so these are plain stand-ins,
+    # hashable since the count's per-graph table is memoized
+    graph = StandIn(4, frozenset(edges))
     with pytest.raises(RuntimeError, match=msg):
         _count(graph, (3,) * 4, Window(1, 3))
+
+
+def test_count_is_empty_when_a_bound_lies_below_the_window():
+    # a vertex with rho(v) < w.lo has no color, so there is nothing to
+    # count; reversing rho puts that vertex last, where the brute force
+    # walks every coloring of the ones before it
+    cases = 0
+    for n in range(1, 6):
+        for r in range(5):
+            for p in enumerate_paths(n, r):
+                graph, rho = dyck_graph(p), restriction_map(p)
+                for lo in range(min(rho) + 1, max(rho) + 2):
+                    for bounds in (rho, rho[::-1], (0,) * n):
+                        w = Window(lo, max(lo, r))
+                        assert _agree(graph, bounds, w) == {}, (p.literal, bounds, w)
+                        cases += 1
+    # 3 bounds times the window starts of every path of n = 1..5, r <= 4
+    assert cases == 27_042
+
+
+def test_count_of_the_empty_graph_is_one():
+    for r in range(3):
+        p, = enumerate_paths(0, r)
+        for w in (Window(1, r), Window(-2, r), Window(1, 0), Window(4, 3)):
+            assert _count(dyck_graph(p), (), w) == {0: 1} == _brute(dyck_graph(p), (), w)

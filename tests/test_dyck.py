@@ -120,6 +120,32 @@ def test_edge_rule_matches_heights():
                     assert ((i, j) in g.edges) == (h[i + r - 1] >= j + r)
 
 
+def _graph_by_edge_rule(p):
+    # dyck_graph's docstring written out, one pair at a time and unmemoized
+    n, r, h = p.n, p.r, p.east_heights()
+    return DyckGraph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if h[i + r - 1] >= j + r])
+
+
+def test_graph_memo_matches_the_edge_rule():
+    paths = [p for n in range(6) for p in scan_paths(n, 5)]
+    paths += itertools.islice(scan_paths(6, 6), 0, None, 50)
+    assert len(paths) == 5_081 + 468
+    for p in paths:
+        assert dyck_graph(p) == _graph_by_edge_rule(p), p.literal
+
+
+def test_paths_of_one_shape_share_one_graph():
+    # the 2,044 paths of P(5, <= 4), whatever their r, carve out the 42
+    # Dyck graphs on five vertices, one object each
+    shared = {}
+    for p in scan_paths(5, 4):
+        graph = dyck_graph(p)
+        assert shared.setdefault(graph, graph) is graph, p.literal
+    assert len(shared) == 42
+    # THREE's graph, 1 -- 2 -- 3, also comes from a path with r = 0
+    assert dyck_graph(PartialDyckPath.parse(THREE)) is dyck_graph(PartialDyckPath.parse("NNENEE@3,0"))
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         DyckGraph(3, frozenset({(1, 3)}))  # gap violates interval property

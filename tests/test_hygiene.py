@@ -11,8 +11,11 @@ or counts cores, and the CLI keeps no module-level state.  The benchmark's
 tracer finds every name it wraps, only the slide-set memo runs the
 slide walk, no peel reads that memo on a window's digits, only
 compositions.digit_bits turns a weight into a digit width, and the
-coloring count and the Kohnert key model reach none of the code they
-are checked against."""
+coloring count, with every helper it calls, and the Kohnert key model
+reach none of the code they are checked against.  Every memo of the
+package has a finite size, keys._KEY_CACHE being the one known
+exception, and cold_graph_memos empties every per-shape and per-graph
+memo."""
 
 import ast
 import os
@@ -257,16 +260,100 @@ def test_slide_dp_stays_independent_of_the_poset_oracle():
 def test_coloring_count_stays_independent_of_its_oracles():
     # tests/test_coloring_count.py checks chromatic._count against the
     # brute force, and every verdict sets it against the DP's slide sum,
-    # so the count may reach neither, nor the poset oracle
+    # so neither the count nor any chromatic.py function it calls, its
+    # per-graph table included, may reach either of them, the DP's
+    # tables or the poset oracle
     def top_level(name):
         path = PACKAGE / name
         return ast.parse(path.read_text(), filename=str(path)).body
 
-    count, = (node for node in top_level("chromatic.py") if getattr(node, "name", None) == "_count")
-    banned = {"_brute", "_packed_dp", "_via_slides", "packed_slides", "posets"}
+    functions = {node.name: node for node in top_level("chromatic.py") if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["_count"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(set(_references(functions[name])) & set(functions))
+    assert {"_count", "_count_steps"} <= reached, sorted(reached)
+    banned = {"_brute", "_packed_dp", "_via_slides", "_dp_tables", "_moves", "packed_slides", "posets"}
     banned |= {node.name for node in top_level("posets.py") if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    used = sorted(set(_references(count)) & banned)
-    assert not used, f"chromatic._count uses {used}"
+    used = sorted(
+        f"{name}:{ref}" for name in reached for ref in set(_references(functions[name])) & banned
+    )
+    assert not used, f"chromatic._count reaches {used}"
+
+
+def _memos(tree):
+    # every functools.cache or functools.lru_cache in a module, as (name,
+    # the call that sizes it, or the bare reference when none does)
+    local = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    }
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = local.get(node.id)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            name = node.attr
+        else:
+            continue
+        if name in ("cache", "lru_cache"):
+            yield name, calls.get(id(node), node)
+
+
+def _bounded(name, memo):
+    # an lru_cache called with an int maxsize, by keyword or first argument
+    if name != "lru_cache" or not isinstance(memo, ast.Call):
+        return False
+    sizes = [kw.value for kw in memo.keywords if kw.arg == "maxsize"] + memo.args[:1]
+    return len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+
+
+# keys._KEY_CACHE, the key monomials, is a plain dict that lives as long
+# as the process; scoping or bounding it is ROADMAP item 6
+UNBOUNDED_STORES = ["keys.py:_KEY_CACHE"]
+
+
+def test_every_cache_is_bounded_and_the_graph_memos_go_cold(request):
+    # no memo in the package may grow without bound, and cold_graph_memos
+    # empties every per-shape or per-graph memo of dyck and chromatic
+    unbounded, stores = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unbounded += [f"{path.name}:{ast.unparse(m)}" for name, m in _memos(tree) if not _bounded(name, m)]
+        # a module-level dict, list or set is a store that nothing bounds
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(value, (ast.Dict, ast.List, ast.Set))
+                or isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "list", "set")
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                stores += [f"{path.name}:{ast.unparse(t)}" for t in targets]
+    assert not unbounded, f"memos without a finite maxsize: {unbounded}"
+    assert stores == UNBOUNDED_STORES, stores
+    memos = {
+        f"{module.__name__}.{name}": memo
+        for module in vars(slidechrom).values() if isinstance(module, type(slidechrom))
+        for name, memo in vars(module).items()
+        if callable(getattr(memo, "cache_info", None)) and memo.__module__ == module.__name__
+    }
+    assert all(memo.cache_info().maxsize is not None for memo in memos.values())
+    # fill every memo of both modules, then run the fixture
+    p = slidechrom.PartialDyckPath.parse("ENEEENENEENNEENEE@6,5")
+    assert slidechrom.verify_backstable(p, 2).ok and slidechrom.verify_fundamental_expansion(p, 2)
+    # _moves is keyed by n alone and holds no graph, so it may stay warm
+    graph_memos = {
+        name: memo for name, memo in memos.items()
+        if name.split(".")[1] in ("dyck", "chromatic") and name != "slidechrom.chromatic._moves"
+    }
+    assert len(graph_memos) == 5 and all(m.cache_info().currsize for m in graph_memos.values()), graph_memos
+    request.getfixturevalue("cold_graph_memos")
+    warm = sorted(name for name, memo in graph_memos.items() if memo.cache_info().currsize)
+    assert not warm, f"cold_graph_memos leaves {warm} warm"
 
 
 def test_kohnert_model_imports_nothing_from_the_package():

@@ -1,7 +1,8 @@
 """Property tests of the JSON loaders: polynomial documents and negative
 records round-trip through their text, every polynomial the constructor
-accepts does too, and a document that repeats an exponent or a t-degree
-is refused, however the repeat is written."""
+accepts does too (it refuses t-entries that are not ints), and a
+document that repeats an exponent or a t-degree is refused, however the
+repeat is written."""
 
 import itertools
 import json
@@ -66,12 +67,21 @@ def test_polynomial_text_round_trips(p):
 
 
 
+# t-degrees and coefficients that are not ints: a bool is an int
+# subclass, and 1.0 == 1 hashes as 1, so neither may slip through
+NOT_INTS = st.sampled_from([0.5, 1.5, 0.0, 1.0, True, False])
+
+
 @PROPERTY
 @given(
     st.sampled_from(WINDOWS),
     st.dictionaries(
         st.sampled_from(EXPONENTS),
-        st.dictionaries(st.integers(-2, 4), st.one_of(st.just(0), COEFS), max_size=3),
+        st.dictionaries(
+            st.one_of(st.integers(-2, 4), NOT_INTS),
+            st.one_of(st.just(0), COEFS, NOT_INTS),
+            max_size=3,
+        ),
         max_size=4,
     ),
 )
@@ -79,8 +89,12 @@ def test_every_polynomial_the_constructor_accepts_round_trips(w, terms):
     try:
         p = TPolynomial(w, terms)
     except ValueError:
-        # only a negative t-degree or a nonzero term outside w is refused
-        assert any(tc and min(tc) < 0 for tc in terms.values()) or any(
+        # only a t-entry that is not an int, a negative t-degree or a
+        # nonzero term outside w is refused
+        entries = [x for tc in terms.values() for item in tc.items() for x in item]
+        assert any(type(x) is not int for x in entries) or any(
+            tc and min(tc) < 0 for tc in terms.values()
+        ) or any(
             any(tc.values()) and not e.supported_in(w) for e, tc in terms.items()
         ), (w, terms)
         return

@@ -238,6 +238,14 @@ def test_constructor_rejects_negative_degrees():
         TPolynomial(Window(1, 1), {WeakComposition((1,)): {0: 1, -2: 0}})
 
 
+@pytest.mark.parametrize("tc", [{0.5: 1}, {0: 1.5}, {True: 2}, {0: True}, {0: 1, 1: 2.0}])
+def test_constructor_rejects_t_entries_that_are_not_ints(tc):
+    # each would dump a document that loads refuses with "t entry must be
+    # {deg, coef}": t_from_json reads ints alone, bools excluded
+    with pytest.raises(ValueError, match="t-degree and coefficient must be ints"):
+        TPolynomial(Window(1, 1), {WeakComposition((1,)): tc})
+
+
 def test_from_json_reads_int_and_decimal_coefficients():
     t = [{"deg": 0, "coef": 7}, {"deg": 1, "coef": "-12"}, {"deg": 2, "coef": "007"}]
     p = TPolynomial.from_json_dict({"window": [1, 1], "terms": [{**_X1, "t": t}]})
